@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "common/channel_table.h"
-#include "common/lru_set.h"
+#include "common/dedup_window.h"
 #include "harness/cluster.h"
 #include "common/rng.h"
 #include "core/consistent_hash.h"
@@ -138,14 +138,41 @@ void BM_PlanCopy(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanCopy)->Arg(64)->Arg(512)->Arg(4096);
 
-void BM_DedupLruInsert(benchmark::State& state) {
-  LruSet<MessageId> dedup(8192);
-  std::uint64_t seq = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dedup.insert(MessageId{7, seq++}));
+// One client's duplicate filter fed a delivery stream in sim time, swept
+// every 5 s against the 60 s horizon as the client library does, so the
+// spilled-word table sits at its steady-state size.
+enum class DedupStream { kInOrder, kReordered, kPublishers512 };
+
+void BM_DedupInsert(benchmark::State& state, DedupStream stream) {
+  constexpr SimTime kSweep = seconds(5);
+  DedupWindow dedup(seconds(60));
+  // 1,000 deliveries per sim-second from one publisher; 2,000 spread over
+  // 512 publishers (about 4 seq/s each, the paper-ramp per-player rate).
+  const SimTime step = stream == DedupStream::kPublishers512 ? millis(0.5) : millis(1);
+  SimTime now = 0;
+  SimTime next_sweep = kSweep;
+  for (std::uint64_t i = 0; auto _ : state) {
+    MessageId id{7, i + 1};
+    if (stream == DedupStream::kReordered) {
+      // Each 256-seq block arrives in a fixed scrambled order (an odd
+      // multiplier mod 256 is a permutation): up to 255 seqs behind.
+      id.seq = (i & ~std::uint64_t{255}) + ((i * 167) & 255) + 1;
+    } else if (stream == DedupStream::kPublishers512) {
+      id = MessageId{i % 512, i / 512 + 1};
+    }
+    benchmark::DoNotOptimize(dedup.insert(id, now));
+    ++i;
+    now += step;
+    if (now >= next_sweep) {
+      dedup.sweep(now);
+      next_sweep += kSweep;
+    }
   }
+  state.counters["bytes"] = static_cast<double>(dedup.bytes());
 }
-BENCHMARK(BM_DedupLruInsert);
+BENCHMARK_CAPTURE(BM_DedupInsert, in_order, DedupStream::kInOrder);
+BENCHMARK_CAPTURE(BM_DedupInsert, reordered, DedupStream::kReordered);
+BENCHMARK_CAPTURE(BM_DedupInsert, publishers_512, DedupStream::kPublishers512);
 
 void BM_HistogramRecord(benchmark::State& state) {
   metrics::Histogram histogram;

@@ -8,6 +8,11 @@
 
 namespace dynamoth::core {
 
+namespace {
+/// Orders by_id_ entries against a key, for std::lower_bound.
+constexpr auto kIdBefore = [](const auto& entry, ChannelId id) { return entry.first < id; };
+}  // namespace
+
 DynamothClient::DynamothClient(sim::Simulator& sim, net::Network& network,
                                ServerRegistry& registry,
                                std::shared_ptr<const ConsistentHashRing> base_ring,
@@ -20,7 +25,7 @@ DynamothClient::DynamothClient(sim::Simulator& sim, net::Network& network,
       id_(id),
       config_(config),
       rng_(rng),
-      dedup_(config.dedup_capacity),
+      dedup_(config.entry_timeout),
       ctl_channel_(client_control_channel(id)),
       sweeper_(sim, config.sweep_interval, [this] { sweep(); }),
       alive_(std::make_shared<bool>(true)) {
@@ -43,10 +48,12 @@ void DynamothClient::shutdown() {
   }
   for (auto& [_, conn] : conns_) conn->close();
   conns_.clear();
+  by_id_.clear();
   channels_.clear();
   patterns_.clear();
   pending_expansions_.clear();
   pending_.clear();
+  dedup_.clear();
 }
 
 DynamothClient::ChannelState& DynamothClient::state_for(const Channel& channel) {
@@ -460,6 +467,17 @@ void DynamothClient::apply_entry(const Channel& channel, const PlanEntry& entry)
   if (rehomed) republish_recent(st);
 }
 
+DynamothClient::ChannelState* DynamothClient::delivery_state(const ps::Envelope& env) {
+  const ChannelId cid = env.channel_id();
+  auto pos = std::lower_bound(by_id_.begin(), by_id_.end(), cid, kIdBefore);
+  if (pos != by_id_.end() && pos->first == cid) return pos->second;
+  auto it = channels_.find(env.channel);
+  if (it == channels_.end()) return nullptr;
+  it->second.id = cid;
+  by_id_.insert(pos, {cid, &it->second});
+  return &it->second;
+}
+
 void DynamothClient::on_deliver(ServerId /*from*/, const ps::EnvelopePtr& env) {
   if (shut_down_) return;
   switch (env->kind) {
@@ -484,16 +502,16 @@ void DynamothClient::on_deliver(ServerId /*from*/, const ps::EnvelopePtr& env) {
     }
     case ps::MsgKind::kControl:  // application-level protocol messages
     case ps::MsgKind::kData: {
-      if (!dedup_.insert(env->id)) {
+      if (!dedup_.insert(env->id, sim_.now())) {
         ++stats_.duplicates_suppressed;
         return;
       }
-      auto it = channels_.find(env->channel);
-      if (it == channels_.end()) {
+      ChannelState* found = delivery_state(*env);
+      if (found == nullptr) {
         ++stats_.stale_drops;  // e.g. unsubscribed while the message was in flight
         return;
       }
-      ChannelState& st = it->second;
+      ChannelState& st = *found;
       const bool explicit_sub = st.subscribed && st.handler;
       // Snapshot the matching pattern handlers before invoking anything: a
       // handler may mutate channel state (the member scratch keeps the
@@ -569,6 +587,7 @@ void DynamothClient::on_closed(ServerId from, ps::CloseReason /*reason*/) {
 
 void DynamothClient::sweep() {
   flush_pending();
+  dedup_.sweep(sim_.now());
   // Expire plan entries for channels we neither subscribe to nor use
   // (paper IV-A5): next use falls back to consistent hashing.
   const SimTime now = sim_.now();
@@ -578,6 +597,9 @@ void DynamothClient::sweep() {
     // standing, independent of traffic.
     if (!wants_subscription(st) && now - st.last_activity > config_.entry_timeout) {
       ++stats_.entries_expired;
+      if (st.id != kInvalidChannelId) {
+        by_id_.erase(std::lower_bound(by_id_.begin(), by_id_.end(), st.id, kIdBefore));
+      }
       it = channels_.erase(it);
       continue;
     }

@@ -6,7 +6,7 @@
 // channels and wrong-server replies on the client's control channel. Entries
 // expire on inactivity (paper IV-A5). Publications received through more than
 // one server during reconfiguration are deduplicated by globally unique
-// message id.
+// message id, remembered for one entry timeout (common/dedup_window.h).
 #pragma once
 
 #include <cstdint>
@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "common/channel_table.h"
-#include "common/lru_set.h"
+#include "common/dedup_window.h"
 #include "common/rng.h"
 #include "common/small_function.h"
 #include "common/types.h"
@@ -38,13 +38,13 @@ namespace dynamoth::core {
 class DynamothClient : private ChannelTable::Listener {
  public:
   struct Config {
-    SimTime entry_timeout = seconds(60);     // local-plan entry expiry
+    SimTime entry_timeout = seconds(60);     // local-plan entry expiry; also
+                                             // the dedup horizon
     SimTime sweep_interval = seconds(5);     // expiry check cadence
     SimTime unsubscribe_grace = seconds(1);  // delay the trailing unsubscribe
                                              // when moving a subscription, so
                                              // in-flight forwards are not lost
     SimTime reconnect_delay = millis(500);   // after the server dropped us
-    std::size_t dedup_capacity = 8192;
     std::size_t default_payload_bytes = 128;
 
     /// Publishes that could not reach any live server wait here for the
@@ -181,6 +181,8 @@ class DynamothClient : private ChannelTable::Listener {
   /// Servers where our subscription for `channel` currently lives.
   [[nodiscard]] std::set<ServerId> subscription_servers(const Channel& channel) const;
   [[nodiscard]] bool connected_to(ServerId server) const { return conns_.contains(server); }
+  /// Bytes held by the duplicate filter (read-only introspection).
+  [[nodiscard]] std::size_t dedup_bytes() const { return dedup_.bytes(); }
 
  private:
   /// One registered pattern. Lives in the node-stable patterns_ map, so
@@ -206,6 +208,8 @@ class DynamothClient : private ChannelTable::Listener {
     /// Recently routed data publishes (send time, envelope), bounded by
     /// republish_window; empty when the feature is off.
     std::deque<std::pair<SimTime, ps::EnvelopePtr>> recent;
+    /// Key of this state in by_id_; kInvalidChannelId until first delivery.
+    ChannelId id = kInvalidChannelId;
   };
 
   [[nodiscard]] static bool wants_subscription(const ChannelState& st) {
@@ -229,6 +233,9 @@ class DynamothClient : private ChannelTable::Listener {
   /// Queues clones of the channel's recent publishes for delivery through
   /// its (re-homed) entry.
   void republish_recent(ChannelState& st);
+  /// The delivery target for `env`: through by_id_, falling back to (and
+  /// indexing from) channels_ on the channel's first delivery.
+  ChannelState* delivery_state(const ps::Envelope& env);
   void on_deliver(ServerId from, const ps::EnvelopePtr& env);
   void on_closed(ServerId from, ps::CloseReason reason);
   void sweep();
@@ -257,6 +264,10 @@ class DynamothClient : private ChannelTable::Listener {
   Rng rng_;
 
   std::map<Channel, ChannelState> channels_;
+  /// Id-keyed index into channels_ (sorted by id) for the delivery path;
+  /// channels_ keeps name order for sweep() and on_closed(), whose iteration
+  /// order schedules events and draws from the RNG.
+  std::vector<std::pair<ChannelId, ChannelState*>> by_id_;
   /// Registered patterns by text. std::map: node addresses are stable, so
   /// ChannelState::patterns can hold raw pointers.
   std::map<std::string, PatternState> patterns_;
@@ -272,7 +283,7 @@ class DynamothClient : private ChannelTable::Listener {
   /// was never handed to a receiver, so restamping its entry version on
   /// flush is safe.
   std::deque<ps::MutEnvelopeRef> pending_;
-  LruSet<MessageId> dedup_;
+  DedupWindow dedup_;
   Channel ctl_channel_;
   std::uint64_t next_seq_ = 1;
   Stats stats_;

@@ -16,13 +16,13 @@ RemoteConnection::RemoteConnection(sim::Simulator& sim, net::Network& network,
       ctx_(std::make_shared<Ctx>()),
       closed_(std::move(on_closed)) {
   ctx_->self = this;
+  ctx_->deliver = std::move(on_deliver);
   conn_ = server_.open_connection(
       client_node_,
-      on_deliver ? PubSubServer::DeliverFn(
-                       [ctx = ctx_, deliver = std::move(on_deliver)](const EnvelopePtr& env) mutable {
-                         if (ctx->self != nullptr) deliver(env);
-                       })
-                 : nullptr,
+      ctx_->deliver ? PubSubServer::DeliverFn([ctx = ctx_](const EnvelopePtr& env) {
+        if (ctx->self != nullptr) ctx->deliver(env);
+      })
+                    : nullptr,
       // The open_ check makes the close callback one-shot: a server-sent
       // close notification and a connection reset can race (e.g. an overflow
       // close whose notification was delayed), and the client must hear

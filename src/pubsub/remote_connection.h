@@ -59,9 +59,12 @@ class RemoteConnection {
   /// checks one pointer instead of locking a weak_ptr, and the capture is a
   /// single shared_ptr (16 bytes) — publish command callbacks fit inline in
   /// the network's 48-byte callback buffer where the old per-command
-  /// std::function wrapper forced two heap allocations per message.
+  /// std::function wrapper forced two heap allocations per message. The
+  /// user's delivery callback lives here too, so the server-side delivery
+  /// wrapper captures only the guard and stays inline.
   struct Ctx {
     RemoteConnection* self = nullptr;
+    DeliverFn deliver;
   };
 
   /// TCP-RST path, shared by every command callback: a *running* server that

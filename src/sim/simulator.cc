@@ -15,9 +15,26 @@ namespace {
 [[maybe_unused]] constexpr std::uint64_t kEngineSampleMask = (1u << 16) - 1;
 }  // namespace
 
+// A fresh 256 KiB over-aligned block costs a page fault per 4 KiB on first
+// touch, and a block freed back to malloc is often not reusable for the next
+// aligned request (alignment padding fragments it), so every world set-up
+// would fault its first block in again. Recycling keeps set-up cost flat.
+std::unique_ptr<Simulator::Slot[]>& Simulator::spare_block() {
+  thread_local std::unique_ptr<Slot[]> spare;
+  return spare;
+}
+
+Simulator::~Simulator() {
+  std::unique_ptr<Slot[]>& spare = spare_block();
+  if (spare || slab_.empty()) return;
+  for (std::uint32_t i = 0; i < kSlabBlockSize; ++i) slab_.front()[i] = Slot{};
+  spare = std::move(slab_.front());
+}
+
 void Simulator::grow_slab() {
   DYN_CHECK(slot_count_ <= kNoEventSlot - kSlabBlockSize);
-  slab_.push_back(std::make_unique<Slot[]>(kSlabBlockSize));
+  std::unique_ptr<Slot[]>& spare = spare_block();
+  slab_.push_back(spare ? std::move(spare) : std::make_unique<Slot[]>(kSlabBlockSize));
 }
 
 void Simulator::heap_pop_root() {

@@ -58,6 +58,7 @@ class Simulator {
   using Callback = SmallFunction<void(), 48>;
 
   Simulator() { heap_.resize(kHeapBase); }
+  ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -225,6 +226,9 @@ class Simulator {
   [[nodiscard]] const HeapItem& heap_root() const { return heap_[kHeapBase]; }
 
   void grow_slab();  // cold path: appends one slab block
+  /// The first slab block of this thread's last destroyed simulator, reset
+  /// to default slots, kept for the next simulator's first block.
+  static std::unique_ptr<Slot[]>& spare_block();
   /// Fires the heap root (must be live). Pops it, advances the clock, invokes
   /// the callback in place, then frees the slot.
   void fire_root();

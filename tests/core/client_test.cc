@@ -3,6 +3,8 @@
 // reconnection after drops.
 #include "core/client.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "harness/cluster.h"
@@ -50,22 +52,43 @@ TEST(Client, SubscribedFlagTracksState) {
 }
 
 TEST(Client, DedupSuppressesDuplicateIds) {
-  harness::Cluster cluster(fixture_config(1));
-  auto& sub = cluster.add_client();
-  auto& pub = cluster.add_client();
-  int got = 0;
-  sub.subscribe("c", [&](const ps::EnvelopePtr&) { ++got; });
+  // During a migration the subscriber keeps its old subscription for the
+  // unsubscribe grace. A publisher still on the old entry then reaches it
+  // twice with one envelope: the old owner delivers locally, and its
+  // dispatcher forwards the same envelope to the new owner.
+  harness::Cluster cluster(fixture_config(2));
+  core::DynamothClient::Config cc;
+  cc.unsubscribe_grace = seconds(2);
+  auto& sub = cluster.add_client(cc);
+  const Channel c = "dedup";
+  const ServerId home = cluster.base_ring()->lookup(c);
+  const auto servers = cluster.server_ids();
+  const ServerId other = servers[0] == home ? servers[1] : servers[0];
+
+  std::vector<MessageId> got;
+  sub.subscribe(c, [&](const ps::EnvelopePtr& env) { got.push_back(env->id); });
   cluster.sim().run_for(seconds(1));
-  // Publish the same envelope twice through the raw path by publishing and
-  // re-publishing with identical content: the client lib assigns fresh ids,
-  // so instead simulate a duplicate by double-delivery through replication:
-  // subscribe on a 2nd server via an all-subscribers plan would be complex
-  // here; rely on unit-level LruSet tests for mechanics and check counter
-  // exposure instead.
-  pub.publish("c");
-  cluster.sim().run_for(seconds(1));
-  EXPECT_EQ(got, 1);
-  EXPECT_EQ(sub.stats().duplicates_suppressed, 0u);
+
+  core::Plan plan;
+  PlanEntry entry;
+  entry.servers = {other};
+  entry.version = 1;
+  plan.set_entry(c, entry);
+  cluster.install_plan(plan);
+  cluster.add_client().publish(c);  // carries the SWITCH to the subscriber
+  cluster.sim().run_for(millis(500));
+  ASSERT_EQ(cluster.server(other).subscriber_count(c), 1u);
+  ASSERT_EQ(cluster.server(home).subscriber_count(c), 1u);  // inside the grace
+  ASSERT_EQ(sub.stats().duplicates_suppressed, 0u);
+
+  got.clear();
+  const std::uint64_t received_before = sub.stats().received;
+  auto& stale = cluster.add_client();  // fresh client: entry version 0 -> home
+  const ps::EnvelopePtr env = stale.publish(c);
+  cluster.sim().run_for(millis(500));
+  EXPECT_EQ(got, std::vector<MessageId>{env->id});
+  EXPECT_EQ(sub.stats().received, received_before + 1);
+  EXPECT_EQ(sub.stats().duplicates_suppressed, 1u);
 }
 
 TEST(Client, EntryExpiresAfterInactivity) {

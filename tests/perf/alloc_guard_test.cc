@@ -21,7 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "cohort/cohort.h"
-#include "common/lru_set.h"
+#include "common/dedup_window.h"
 #include "common/types.h"
 #include "harness/cluster.h"
 #include "metrics/histogram.h"
@@ -554,19 +554,38 @@ TEST(AllocGuard, BucketedSameArrivalDeliveryIsAllocationFree) {
   EXPECT_EQ(got - delivered_before, 2u * kFan);
 }
 
-TEST(AllocGuard, LruSetDedupInsertsAreAllocationFreeAfterConstruction) {
+TEST(AllocGuard, DedupWindowSteadyStateIsAllocationFree) {
   // The client-side duplicate filter runs insert() once per received
-  // publication; after construction it must never touch the allocator, even
-  // when full and evicting.
-  LruSet<std::uint64_t> dedup(256);
+  // publication and sweep() every 5 s. Once arrivals and expiries balance
+  // (one horizon in), neither may touch the allocator: in-order words stay
+  // inline, spilled words reuse freed slots, and the tables stop growing.
+  constexpr SimTime kHorizon = seconds(60);
+  constexpr SimTime kSweep = seconds(5);
+  constexpr SimTime kTick = millis(100);
+  DedupWindow dedup(kHorizon);
+  SimTime next_sweep = kSweep;
+  std::uint64_t fresh = 0;
+  std::uint64_t tick = 0;
+  auto run_ticks = [&](std::uint64_t n) {
+    for (const std::uint64_t end = tick + n; tick < end;) {
+      const SimTime now = static_cast<SimTime>(++tick) * kTick;
+      while (next_sweep <= now) {
+        dedup.sweep(next_sweep);
+        next_sweep += kSweep;
+      }
+      for (std::uint64_t p = 1; p <= 64; ++p) {
+        fresh += dedup.insert(MessageId{p, tick}, now) ? 1 : 0;           // in order
+        if (tick > 40) (void)dedup.insert(MessageId{p, tick - 40}, now);  // late duplicate
+      }
+    }
+  };
+  run_ticks(3 * 600);  // warm: three horizons
+  const std::uint64_t fresh_before = fresh;
   const std::uint64_t allocs_before = g_new_calls;
-  for (std::uint64_t i = 0; i < 1024; ++i) {
-    dedup.insert(i);              // fresh inserts, then steady eviction
-    dedup.insert(i);              // refresh path
-    (void)dedup.contains(i / 2);  // lookup path
-  }
+  run_ticks(2 * 600);
   EXPECT_EQ(g_new_calls - allocs_before, 0u);
-  EXPECT_EQ(dedup.size(), 256u);
+  EXPECT_EQ(fresh - fresh_before, 64u * 2 * 600);
+  EXPECT_EQ(dedup.publishers(), 64u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 namespace dynamoth::sim {
@@ -137,6 +138,32 @@ TEST(Simulator, ManyEventsStressOrdering) {
   }
   sim.run();
   EXPECT_TRUE(ordered);
+}
+
+TEST(Simulator, NextSimulatorOnThreadStartsCleanAfterOneIsDestroyed) {
+  // A destroyed simulator hands its first slab block to the next one on the
+  // thread: its pending callbacks must be released, and the reused block
+  // must behave exactly like a fresh one (same slots, generations from 0).
+  auto token = std::make_shared<int>(0);
+  EventId fresh_id;
+  {
+    Simulator first;
+    fresh_id = first.schedule_at(seconds(1), [] {});
+    for (int i = 0; i < 100; ++i) first.schedule_at(seconds(2), [token] {});
+    first.run_until(seconds(1));
+    EXPECT_EQ(token.use_count(), 101);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+
+  Simulator second;
+  std::vector<int> order;
+  const EventId id = second.schedule_at(seconds(2), [&] { order.push_back(2); });
+  second.schedule_at(seconds(1), [&] { order.push_back(1); });
+  EXPECT_EQ(id.slot, fresh_id.slot);
+  EXPECT_EQ(id.generation, fresh_id.generation);
+  second.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(second.executed_events(), 2u);
 }
 
 TEST(PeriodicTask, TicksAtPeriod) {
