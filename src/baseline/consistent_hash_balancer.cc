@@ -5,10 +5,10 @@
 namespace dynamoth::baseline {
 
 ConsistentHashBalancer::ConsistentHashBalancer(
-    sim::Simulator& sim, net::Network& network, core::ServerRegistry& registry,
+    sim::Simulator& sim, core::ServerRegistry& registry,
     std::shared_ptr<const core::ConsistentHashRing> base_ring, NodeId node,
     core::Cloud* cloud, Config config)
-    : BalancerBase(sim, network, registry, std::move(base_ring), node, cloud, config.base),
+    : BalancerBase(sim, registry, std::move(base_ring), node, cloud, config.base),
       config_(config),
       ring_(config.virtual_nodes_per_server) {}
 

@@ -32,8 +32,7 @@ class ConsistentHashBalancer final : public core::BalancerBase {
     std::uint64_t servers_spawned = 0;
   };
 
-  ConsistentHashBalancer(sim::Simulator& sim, net::Network& network,
-                         core::ServerRegistry& registry,
+  ConsistentHashBalancer(sim::Simulator& sim, core::ServerRegistry& registry,
                          std::shared_ptr<const core::ConsistentHashRing> base_ring,
                          NodeId node, core::Cloud* cloud, Config config);
 

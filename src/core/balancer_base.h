@@ -1,10 +1,11 @@
 // Shared control-plane machinery for load balancers.
 //
 // Both the Dynamoth load balancer and the consistent-hashing baseline run on
-// one infrastructure node, subscribe to @ctl:lla on every pub/sub server to
-// receive LLA reports, and publish plan updates on @ctl:plan. Subclasses
-// implement decide(), which inspects the aggregated state and may emit a new
-// plan.
+// one infrastructure node. They hold no pub/sub connection: LLA reports
+// arrive through ingest_report() (sent directly by each server's LLA), and
+// every new plan leaves through the PlanDelivery hook (sent directly to each
+// dispatcher). Subclasses implement decide(), which inspects the aggregated
+// state and may emit a new plan.
 #pragma once
 
 #include <cstdint>
@@ -21,8 +22,6 @@
 #include "core/control.h"
 #include "core/plan.h"
 #include "core/registry.h"
-#include "net/network.h"
-#include "pubsub/remote_connection.h"
 #include "sim/simulator.h"
 
 namespace dynamoth::core {
@@ -75,7 +74,7 @@ class BalancerBase {
     SimTime silence = 0;  // observed silence at the transition
   };
 
-  BalancerBase(sim::Simulator& sim, net::Network& network, ServerRegistry& registry,
+  BalancerBase(sim::Simulator& sim, ServerRegistry& registry,
                std::shared_ptr<const ConsistentHashRing> base_ring, NodeId node,
                Cloud* cloud, BaseConfig config);
   virtual ~BalancerBase();
@@ -87,10 +86,10 @@ class BalancerBase {
   void start();
   void stop();
 
-  /// Attaches a pub/sub server: subscribes to its LLA reports and includes
-  /// it in future plans.
+  /// Attaches a pub/sub server: accepts its LLA reports and includes it in
+  /// future plans.
   void attach_server(ServerId server);
-  /// Detaches (stops listening; server no longer a placement target).
+  /// Detaches (drops its reports; server no longer a placement target).
   void detach_server(ServerId server);
 
   [[nodiscard]] const PlanPtr& current_plan() const { return plan_; }
@@ -113,13 +112,15 @@ class BalancerBase {
   /// Direct plan transport to a server's dispatcher (paper IV-A1: "the LB
   /// sends it reliably to all dispatchers" — dispatchers are separate
   /// processes beside the pub/sub server, so plan delivery must not queue
-  /// behind a saturated data plane). When unset, plans are published on each
-  /// server's @ctl:plan channel instead.
+  /// behind a saturated data plane). When unset, plans are recorded and
+  /// reported to the listener but sent nowhere.
   using PlanDelivery = std::function<void(ServerId, const PlanPtr&)>;
   void set_plan_delivery(PlanDelivery delivery) { plan_delivery_ = std::move(delivery); }
 
   /// Feeds one LLA report into the balancer's state (the direct monitoring
-  /// path; also reachable via @ctl:lla subscriptions).
+  /// path). A report whose window_end is not newer than the newest one held
+  /// for its server is ignored, so a report overtaken in transit neither
+  /// skews the smoothing nor refreshes the failure detector.
   void ingest_report(const LoadReport& report);
 
   /// Smoothed load ratio of `server` (0 when unknown).
@@ -131,7 +132,6 @@ class BalancerBase {
 
  protected:
   struct ServerState {
-    std::unique_ptr<ps::RemoteConnection> conn;
     std::deque<LoadReport> reports;  // most recent last, bounded by lr_window
     double capacity = 0;             // T_i from reports
     bool retiring = false;           // excluded from placement targets
@@ -166,7 +166,6 @@ class BalancerBase {
   [[nodiscard]] std::map<Channel, double> channel_out_rates(ServerId server) const;
 
   sim::Simulator& sim_;
-  net::Network& network_;
   ServerRegistry& registry_;
   std::shared_ptr<const ConsistentHashRing> base_ring_;
   NodeId node_;
@@ -176,7 +175,6 @@ class BalancerBase {
   std::uint64_t next_plan_id_ = 1;
 
  private:
-  void on_deliver(const ps::EnvelopePtr& env);
   /// One decision round: purge stale reports, run the failure detector,
   /// then the subclass's decide().
   void tick();
@@ -189,8 +187,6 @@ class BalancerBase {
   fault::FailureDetector detector_;
   std::vector<LivenessEvent> liveness_events_;
   obs::RebalanceAuditLog audit_;
-  ClientId client_id_;
-  std::uint64_t next_seq_ = 1;
   sim::PeriodicTask ticker_;
   PlanListener plan_listener_;
   PlanDelivery plan_delivery_;

@@ -73,11 +73,11 @@ class Dispatcher final : public ps::LocalObserver {
   Dispatcher(const Dispatcher&) = delete;
   Dispatcher& operator=(const Dispatcher&) = delete;
 
-  /// Registers as observer and subscribes to @ctl:plan / @ctl:disp locally.
+  /// Registers as observer and subscribes to @ctl:disp locally.
   void start();
   void stop();
 
-  /// Installs a new global plan (normally received via @ctl:plan).
+  /// Installs a new global plan (normally sent directly by the balancer).
   void apply_plan(PlanPtr plan);
 
   [[nodiscard]] const PlanPtr& current_plan() const { return plan_; }

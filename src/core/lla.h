@@ -5,9 +5,9 @@
 // paper's LLA registers as an observer of every channel; colocation makes
 // this free of network cost) and accumulates, per measurement window:
 // publications, deliveries, bytes in/out, current subscriber count and the
-// set of distinct publishers — per channel. Each window it publishes an
-// aggregate LoadReport on the local "@ctl:lla" channel, which the load
-// balancer subscribes to on every server. The report also carries the
+// set of distinct publishers — per channel. Each window it sends an
+// aggregate LoadReport straight to the load balancer node (paper Figure 1);
+// the report never passes through a pub/sub server. It also carries the
 // NIC-measured outgoing bandwidth M_i and the advertised maximum T_i.
 #pragma once
 
@@ -21,7 +21,6 @@
 #include "core/registry.h"
 #include "net/network.h"
 #include "pubsub/pattern.h"
-#include "pubsub/remote_connection.h"
 #include "pubsub/server.h"
 #include "sim/simulator.h"
 
@@ -48,11 +47,9 @@ class LocalLoadAnalyzer final : public ps::LocalObserver {
   /// Routes reports directly to the load balancer node over the network
   /// (paper Figure 1: the LLA talks to the LB itself, not through the local
   /// pub/sub server — monitoring must not starve behind a saturated data
-  /// plane). Reports are still also published on the local @ctl:lla channel
-  /// for observability.
+  /// plane). Without a target, reports are computed but sent nowhere.
   using ReportSink = std::function<void(const LoadReport&)>;
   void set_report_target(NodeId balancer_node, ReportSink sink);
-  void clear_report_target();
 
   [[nodiscard]] double advertised_capacity() const { return config_.advertised_capacity; }
   /// Load ratio over the last completed window (for tests/figures).
@@ -137,7 +134,6 @@ class LocalLoadAnalyzer final : public ps::LocalObserver {
   SimTime window_start_time_ = 0;
   double last_load_ratio_ = 0;
 
-  std::unique_ptr<ps::RemoteConnection> conn_;  // local, for publishing reports
   NodeId balancer_node_ = kInvalidNode;
   ReportSink sink_;
   sim::PeriodicTask reporter_;

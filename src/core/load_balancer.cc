@@ -10,11 +10,10 @@
 
 namespace dynamoth::core {
 
-DynamothLoadBalancer::DynamothLoadBalancer(sim::Simulator& sim, net::Network& network,
-                                           ServerRegistry& registry,
+DynamothLoadBalancer::DynamothLoadBalancer(sim::Simulator& sim, ServerRegistry& registry,
                                            std::shared_ptr<const ConsistentHashRing> base_ring,
                                            NodeId node, Cloud* cloud, Config config)
-    : BalancerBase(sim, network, registry, std::move(base_ring), node, cloud, config.base),
+    : BalancerBase(sim, registry, std::move(base_ring), node, cloud, config.base),
       config_(config) {
   DYN_CHECK(config_.lr_safe <= config_.lr_high);
   DYN_CHECK(config_.min_servers >= 1);

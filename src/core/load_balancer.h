@@ -76,7 +76,7 @@ class DynamothLoadBalancer final : public BalancerBase {
     std::uint64_t emergency_rebalances = 0;
   };
 
-  DynamothLoadBalancer(sim::Simulator& sim, net::Network& network, ServerRegistry& registry,
+  DynamothLoadBalancer(sim::Simulator& sim, ServerRegistry& registry,
                        std::shared_ptr<const ConsistentHashRing> base_ring, NodeId node,
                        Cloud* cloud, Config config);
 

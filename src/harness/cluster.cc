@@ -94,7 +94,6 @@ void Cluster::despawn_server(ServerId id) {
   if (it == stacks_.end()) return;
   ServerStack& stack = it->second;
   stack.dispatcher->stop();
-  stack.lla->clear_report_target();
   stack.lla->stop();
   registry_.remove(id);
   stack.server->shutdown();
@@ -111,7 +110,6 @@ void Cluster::crash_server(ServerId id) {
   // Order matters: deregister first so nothing routes to the corpse while
   // the crash tears down connections.
   stack.dispatcher->stop();
-  stack.lla->clear_report_target();
   stack.lla->stop();
   registry_.remove(id);
   stack.server->crash();
@@ -190,7 +188,7 @@ core::DynamothLoadBalancer& Cluster::use_dynamoth(core::DynamothLoadBalancer::Co
   node_config.egress_bytes_per_sec = config_.client_egress;
   balancer_node_ = network_->add_node(node_config);
   auto lb = std::make_unique<core::DynamothLoadBalancer>(
-      sim_, *network_, registry_, base_ring_, balancer_node_, cloud_.get(), config);
+      sim_, registry_, base_ring_, balancer_node_, cloud_.get(), config);
   auto* raw = lb.get();
   DYN_TRACE(set_track_name(balancer_node_, "load balancer"));
   balancer_ = std::move(lb);
@@ -212,7 +210,7 @@ baseline::ConsistentHashBalancer& Cluster::use_hash_balancer(
   node_config.egress_bytes_per_sec = config_.client_egress;
   balancer_node_ = network_->add_node(node_config);
   auto lb = std::make_unique<baseline::ConsistentHashBalancer>(
-      sim_, *network_, registry_, base_ring_, balancer_node_, cloud_.get(), config);
+      sim_, registry_, base_ring_, balancer_node_, cloud_.get(), config);
   auto* raw = lb.get();
   DYN_TRACE(set_track_name(balancer_node_, "hash balancer"));
   balancer_ = std::move(lb);

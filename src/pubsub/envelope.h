@@ -1,10 +1,10 @@
 // Message envelope flowing through the pub/sub substrate.
 //
 // The substrate itself (a Redis stand-in) treats every publication as opaque
-// payload on a channel. Dynamoth rides on top: its control traffic (SWITCH
-// notifications, wrong-server replies, plan updates, LLA reports) is carried
-// as ordinary publications, exactly like the paper's implementation where
-// "all inter-component communications are done using the pub/sub primitives".
+// payload on a channel. Dynamoth's reconfiguration traffic (SWITCH
+// notifications, wrong-server replies, drain notices) rides on top as
+// ordinary publications, so it stays ordered with the data it redirects.
+// Load reports and plans do not: they travel on direct sends (core/control.h).
 //
 // Memory architecture (see DESIGN.md section 10): envelopes live in a
 // per-simulator-thread slab pool (EnvelopePool) and are handed around as
@@ -35,8 +35,6 @@ enum class MsgKind {
   kData,         // application publication
   kSwitch,       // dispatcher -> subscribers: channel moved, re-subscribe
   kWrongServer,  // dispatcher -> publisher: wrong server, here is the entry
-  kPlanUpdate,   // load balancer -> dispatchers: new global plan
-  kLlaReport,    // LLA -> load balancer: per-channel metrics
   kDrainNotice,  // old-owner dispatcher -> new-owner dispatcher: no subs left
   kControl,      // other control traffic
 };

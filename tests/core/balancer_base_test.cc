@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <vector>
 
 #include "harness/cluster.h"
@@ -31,25 +32,28 @@ struct Fixture {
     config.fixed_latency = true;
     config.fixed_latency_value = millis(5);
     cluster = std::make_unique<harness::Cluster>(config);
-    const NodeId node =
-        cluster->network().add_node({net::NodeKind::kInfrastructure, 1e7});
-    balancer = std::make_unique<NullBalancer>(cluster->sim(), cluster->network(),
-                                              cluster->registry(), cluster->base_ring(),
-                                              node, &cluster->cloud(), BalancerBase::BaseConfig{});
+    node = cluster->network().add_node({net::NodeKind::kInfrastructure, 1e7});
+    balancer = std::make_unique<NullBalancer>(cluster->sim(), cluster->registry(),
+                                              cluster->base_ring(), node, &cluster->cloud(),
+                                              BalancerBase::BaseConfig{});
   }
 
+  /// Each call covers the next one-second window, so no report repeats one
+  /// the balancer already holds.
   LoadReport report(ServerId server, double mbps, double capacity = 1.5e6) {
     LoadReport r;
     r.server = server;
-    r.window_start = cluster->sim().now() - kSecond;
-    r.window_end = cluster->sim().now();
+    r.window_end = cluster->sim().now() + kSecond * windows++;
+    r.window_start = r.window_end - kSecond;
     r.measured_out_bytes_per_sec = mbps * 1e6;
     r.advertised_capacity = capacity;
     return r;
   }
 
   std::unique_ptr<harness::Cluster> cluster;
+  NodeId node = kInvalidNode;
   std::unique_ptr<NullBalancer> balancer;
+  SimTime windows = 0;
 };
 
 TEST(BalancerBase, TickInvokesDecide) {
@@ -87,6 +91,22 @@ TEST(BalancerBase, LoadRatioSmoothsOverWindow) {
   EXPECT_NEAR(f.balancer->load_ratio(s), 1.0, 1e-9);
 }
 
+TEST(BalancerBase, RepeatedOrOlderWindowIsIgnored) {
+  Fixture f;
+  f.balancer->start();
+  const ServerId s = f.cluster->server_ids()[0];
+  const LoadReport first = f.report(s, 0.0);
+  const LoadReport newest = f.report(s, 1.5);
+  f.balancer->ingest_report(first);
+  f.balancer->ingest_report(newest);
+  EXPECT_NEAR(f.balancer->load_ratio(s), 0.5, 1e-9);
+  // A second copy of the newest window, or an older one, changes nothing.
+  f.balancer->ingest_report(newest);
+  EXPECT_NEAR(f.balancer->load_ratio(s), 0.5, 1e-9);
+  f.balancer->ingest_report(first);
+  EXPECT_NEAR(f.balancer->load_ratio(s), 0.5, 1e-9);
+}
+
 TEST(BalancerBase, ReportsForUnknownServersIgnored) {
   Fixture f;
   f.balancer->start();
@@ -122,9 +142,15 @@ TEST(BalancerBase, PlanListenerAndEventsFireOnPublish) {
   EXPECT_EQ(f.balancer->current_plan()->id(), f.balancer->events()[0].plan_id);
 }
 
-TEST(BalancerBase, PlanDeliveryOverridesPubSubPath) {
+TEST(BalancerBase, PlanDeliveryIsTheOnlyPlanTransport) {
   Fixture f;
   f.balancer->start();
+  // Without a delivery hook the plan is recorded but nothing leaves the node.
+  f.balancer->publish_plan(Plan{}, RebalanceKind::kLowLoad);
+  f.cluster->sim().run_for(millis(100));
+  EXPECT_EQ(f.balancer->events().size(), 1u);
+  EXPECT_EQ(f.cluster->network().counters(f.node).messages_sent, 0u);
+
   std::vector<ServerId> delivered_to;
   f.balancer->set_plan_delivery([&](ServerId server, const PlanPtr& plan) {
     delivered_to.push_back(server);
@@ -132,6 +158,34 @@ TEST(BalancerBase, PlanDeliveryOverridesPubSubPath) {
   });
   f.balancer->publish_plan(Plan{}, RebalanceKind::kLowLoad);
   EXPECT_EQ(delivered_to.size(), 2u);
+}
+
+TEST(BalancerBase, IdleServerCarriesNoControlTraffic) {
+  harness::ClusterConfig config;
+  config.seed = 71;
+  config.initial_servers = 2;
+  config.fixed_latency = true;
+  config.fixed_latency_value = millis(5);
+  harness::Cluster cluster(config);
+  cluster.sim().run_for(millis(500));
+  const auto servers = cluster.server_ids();
+  std::map<ServerId, std::size_t> conns;
+  std::map<ServerId, SimTime> cpu;
+  std::map<ServerId, std::uint64_t> sent;
+  for (ServerId s : servers) {
+    conns[s] = cluster.server(s).connection_count();
+    cpu[s] = cluster.server(s).cpu_time_executed();
+    sent[s] = cluster.network().counters(s).messages_sent;
+  }
+  cluster.use_dynamoth({});
+  cluster.sim().run_for(seconds(5) + millis(100));
+  for (ServerId s : servers) {
+    // The balancer opens no connection on the server, and the LLA's reports
+    // cost the server's CPU nothing: they leave by a direct send.
+    EXPECT_EQ(cluster.server(s).connection_count(), conns[s]);
+    EXPECT_EQ(cluster.server(s).cpu_time_executed(), cpu[s]);
+    EXPECT_GE(cluster.network().counters(s).messages_sent, sent[s] + 5);
+  }
 }
 
 TEST(BalancerBase, PlanIdsIncrease) {

@@ -39,18 +39,27 @@ TEST(Dispatcher, StartsWithPlanZero) {
   EXPECT_EQ(d.draining_channels(), 0u);
 }
 
-TEST(Dispatcher, PlanUpdateArrivesViaControlChannel) {
-  harness::Cluster cluster(config2());
-  // install_plan publishes through dispatchers directly; instead exercise
-  // the pub/sub path: publish a kPlanUpdate on @ctl:plan of each server the
-  // way the balancer does. Use a Dynamoth LB for the full path.
-  auto& lb = cluster.use_dynamoth({});
-  (void)lb;
-  cluster.sim().run_for(seconds(2));
-  // Dispatchers have at least plan zero; applying a manual plan bumps them.
-  core::Plan plan = plan_with("c", {cluster.server_ids()[0]}, ReplicationMode::kNone, 1);
-  cluster.install_plan(plan);
+TEST(Dispatcher, BalancerPlanArrivesViaDirectDelivery) {
+  harness::ClusterConfig config = config2();
+  config.server_capacity = 60e3;
+  harness::Cluster cluster(config);
+  DynamothLoadBalancer::Config lb_config;
+  lb_config.max_servers = 2;
+  auto& lb = cluster.use_dynamoth(lb_config);
+  // Overload one server so the balancer emits a plan of its own.
+  for (int i = 0; i < 4; ++i) {
+    cluster.add_client().subscribe("hot", [](const ps::EnvelopePtr&) {});
+  }
+  auto& pub = cluster.add_client();
+  sim::PeriodicTask feed(cluster.sim(), millis(40), [&] { pub.publish("hot", 500); });
+  feed.start();
+  cluster.sim().run_for(seconds(20));
+  feed.stop();
+  ASSERT_FALSE(lb.events().empty());
+  cluster.sim().run_for(seconds(1));
+  // The balancer's latest plan reached each dispatcher through its direct send.
   for (ServerId s : cluster.server_ids()) {
+    EXPECT_EQ(cluster.dispatcher(s).current_plan()->id(), lb.current_plan()->id());
     EXPECT_GE(cluster.dispatcher(s).stats().plans_applied, 1u);
   }
 }

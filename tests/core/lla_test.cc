@@ -13,23 +13,15 @@
 namespace dynamoth::core {
 namespace {
 
-/// Captures LLA reports by subscribing to @ctl:lla like the load balancer.
+/// Captures LLA reports at a probe node, on the same direct path the load
+/// balancer receives them through.
 struct ReportSink {
-  explicit ReportSink(harness::Cluster& cluster, ServerId server)
-      : conn(cluster.sim(), cluster.network(),
-             cluster.network().add_node({net::NodeKind::kInfrastructure, 1e7}),
-             cluster.server(server),
-             [this](const ps::EnvelopePtr& env) {
-               if (env->kind != ps::MsgKind::kLlaReport) return;
-               if (const auto* body = dynamic_cast<const LlaReportBody*>(env->body.get())) {
-                 reports.push_back(body->report);
-               }
-             },
-             nullptr) {
-    conn.subscribe(kLlaChannel);
+  explicit ReportSink(harness::Cluster& cluster, ServerId server) {
+    const NodeId probe = cluster.network().add_node({net::NodeKind::kInfrastructure, 1e7});
+    cluster.lla(server).set_report_target(
+        probe, [this](const LoadReport& report) { reports.push_back(report); });
   }
 
-  ps::RemoteConnection conn;
   std::vector<LoadReport> reports;
 };
 
@@ -163,8 +155,8 @@ TEST(Lla, InfrastructureSubscribersNotCounted) {
   harness::Cluster cluster(config1());
   const ServerId s = cluster.server_ids()[0];
   ReportSink sink(cluster, s);
-  // The sink itself is an infrastructure-node subscriber of @ctl:lla; add an
-  // infra subscription to a data channel too.
+  // An infrastructure-node subscription to a data channel is bookkeeping,
+  // not a subscriber.
   ps::RemoteConnection infra(cluster.sim(), cluster.network(),
                              cluster.network().add_node({net::NodeKind::kInfrastructure, 1e7}),
                              cluster.server(s), nullptr, nullptr);

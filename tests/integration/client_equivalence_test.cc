@@ -72,9 +72,9 @@ TEST(ClientEquivalence, ReducedFig5RampMatchesLruDecisions) {
   config.sample_interval = seconds(10);
 
   const ClientTotals t = run_and_sum(config);
-  EXPECT_EQ(t.received, 327209u);
-  EXPECT_EQ(t.duplicates_suppressed, 12797u);
-  EXPECT_EQ(t.stale_drops, 13948u);
+  EXPECT_EQ(t.received, 327571u);
+  EXPECT_EQ(t.duplicates_suppressed, 14326u);
+  EXPECT_EQ(t.stale_drops, 13905u);
   ASSERT_EQ(t.clients, 400u);
   std::printf("mean dedup footprint: %zu B\n", t.dedup_bytes / t.clients);
   EXPECT_LE(t.dedup_bytes / t.clients, kMaxMeanDedupBytes);
@@ -92,8 +92,8 @@ TEST(ClientEquivalence, SmallCohortRunMatchesLruDecisions) {
   mammoth::exp::scale_population(config, 5000.0 / 1200.0);
 
   const ClientTotals t = run_and_sum(config);
-  EXPECT_EQ(t.received, 486893u);
-  EXPECT_EQ(t.duplicates_suppressed, 3905u);
+  EXPECT_EQ(t.received, 483490u);
+  EXPECT_EQ(t.duplicates_suppressed, 3198u);
   EXPECT_EQ(t.stale_drops, 0u);
   ASSERT_EQ(t.clients, 144u);
   std::printf("mean dedup footprint: %zu B\n", t.dedup_bytes / t.clients);

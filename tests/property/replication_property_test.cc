@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <cstdint>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "harness/cluster.h"
@@ -13,11 +15,27 @@
 namespace dynamoth {
 namespace {
 
+enum class LatencyModel : std::uint8_t { kFixed = 0x00, kKing = 0xFF };
+
+// gtest names each case after the raw bytes of its parameter, so the struct
+// has no padding: every byte is a defined member and the case names are the
+// same from one build to the next.
 struct ReplicationParams {
   core::ReplicationMode mode;
-  int replicas;
-  bool king_latency;
+  LatencyModel latency;
+  std::uint16_t reserved;
+  std::int32_t replicas;
+  std::uint32_t seed;
 };
+static_assert(sizeof(ReplicationParams) == 12);
+static_assert(std::has_unique_object_representations_v<ReplicationParams>);
+
+constexpr ReplicationParams sweep_case(core::ReplicationMode mode, int replicas,
+                                       LatencyModel latency) {
+  return {mode, latency, 0, replicas,
+          1000u + static_cast<std::uint32_t>(replicas) * 10u +
+              static_cast<std::uint32_t>(mode)};
+}
 
 std::string param_name(const testing::TestParamInfo<ReplicationParams>& info) {
   std::string mode = core::to_string(info.param.mode);
@@ -25,7 +43,7 @@ std::string param_name(const testing::TestParamInfo<ReplicationParams>& info) {
     if (c == '-') c = '_';
   }
   return mode + "_x" + std::to_string(info.param.replicas) +
-         (info.param.king_latency ? "_king" : "_fixed");
+         (info.param.latency == LatencyModel::kKing ? "_king" : "_fixed");
 }
 
 class ReplicationSweep : public testing::TestWithParam<ReplicationParams> {};
@@ -34,10 +52,9 @@ TEST_P(ReplicationSweep, ExactlyOnceAndWireContract) {
   const ReplicationParams param = GetParam();
 
   harness::ClusterConfig config;
-  config.seed = 1000 + static_cast<std::uint64_t>(param.replicas) * 10 +
-                static_cast<std::uint64_t>(param.mode);
+  config.seed = param.seed;
   config.initial_servers = 4;
-  config.fixed_latency = !param.king_latency;
+  config.fixed_latency = param.latency == LatencyModel::kFixed;
   config.fixed_latency_value = millis(10);
   harness::Cluster cluster(config);
 
@@ -122,14 +139,20 @@ TEST_P(ReplicationSweep, ExactlyOnceAndWireContract) {
 INSTANTIATE_TEST_SUITE_P(
     Modes, ReplicationSweep,
     testing::Values(
-        ReplicationParams{core::ReplicationMode::kNone, 1, false},
-        ReplicationParams{core::ReplicationMode::kNone, 1, true},
-        ReplicationParams{core::ReplicationMode::kAllSubscribers, 2, false},
-        ReplicationParams{core::ReplicationMode::kAllSubscribers, 3, false},
-        ReplicationParams{core::ReplicationMode::kAllSubscribers, 4, true},
-        ReplicationParams{core::ReplicationMode::kAllPublishers, 2, false},
-        ReplicationParams{core::ReplicationMode::kAllPublishers, 3, true},
-        ReplicationParams{core::ReplicationMode::kAllPublishers, 4, false}),
+        sweep_case(core::ReplicationMode::kNone, 1, LatencyModel::kFixed),
+        sweep_case(core::ReplicationMode::kNone, 1, LatencyModel::kKing),
+        sweep_case(core::ReplicationMode::kAllSubscribers, 2,
+                   LatencyModel::kFixed),
+        sweep_case(core::ReplicationMode::kAllSubscribers, 3,
+                   LatencyModel::kFixed),
+        sweep_case(core::ReplicationMode::kAllSubscribers, 4,
+                   LatencyModel::kKing),
+        sweep_case(core::ReplicationMode::kAllPublishers, 2,
+                   LatencyModel::kFixed),
+        sweep_case(core::ReplicationMode::kAllPublishers, 3,
+                   LatencyModel::kKing),
+        sweep_case(core::ReplicationMode::kAllPublishers, 4,
+                   LatencyModel::kFixed)),
     param_name);
 
 }  // namespace

@@ -64,7 +64,7 @@ TEST(CompiledPattern, MiddleSegments) {
 TEST(CompiledPattern, ChannelShapedPatterns) {
   for (const char* p : {"tile:*", "tile:*:east", "*:chat", "player:*:inv*", "@ctl:*"}) {
     for (const char* t : {"tile:4", "tile:4:east", "tile::east", "room:chat", "player:9:invx",
-                          "player:9:in", "@ctl:lla", "tile:", ""}) {
+                          "player:9:in", "@ctl:disp", "tile:", ""}) {
       expect_same(p, t);
     }
   }
