@@ -23,7 +23,7 @@ set(manifest "${SOURCE_DIR}/tests/golden/artifacts.sha256")
 set(binaries
     fig4a_all_publishers fig4b_all_subscribers fig5_scalability fig6_load_ratio
     fig7_elasticity ablation_cpu_aware ablation_propagation ablation_replication
-    ablation_thresholds)
+    ablation_thresholds fig_failover fig_flashcrowd)
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 set(errors "")
