@@ -22,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "harness/failover.h"
+#include "harness/channel_scenario.h"
 
 int main(int argc, char** argv) {
   using namespace dynamoth;
@@ -53,9 +53,8 @@ int main(int argc, char** argv) {
     scenarios.push_back({"partition", partition});
   }
 
-  const SimTime detector_timeout = seconds(4);
   const SimTime tick = seconds(1);
-  const SimTime budget = detector_timeout + 2 * tick + seconds(5);
+  const SimTime budget = harness::kDetectorTimeout + 2 * tick + seconds(5);
 
   std::ofstream summary("fig_failover.csv");
   summary << "scenario,reliability,published,expected,delivered,lost,duplicates,"
@@ -66,16 +65,15 @@ int main(int argc, char** argv) {
   bool all_pass = true;
   for (const Scenario& scenario : scenarios) {
     for (const bool reliability : {false, true}) {
-      harness::FailoverConfig config;
+      harness::ChannelScenario config = harness::failover_scenario();
       config.seed = 7;
-      config.schedule = scenario.schedule;
+      config.faults = scenario.schedule;
       config.reliability = reliability;
-      config.detector_timeout = detector_timeout;
       if (smoke) {
         config.duration = seconds(35);
         config.drain = seconds(15);
       }
-      const harness::FailoverResult r = harness::run_failover(config);
+      const harness::ChannelScenarioResult r = harness::run_channel_scenario(config);
 
       const std::string arm = reliability ? "reliable" : "besteffort";
       const std::string tag = scenario.name + "_" + arm;

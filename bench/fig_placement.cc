@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "harness/failover.h"
+#include "harness/channel_scenario.h"
 #include "mammoth/experiments.h"
 #include "obs/metrics_registry.h"
 #include "placement/policy.h"
@@ -83,17 +83,15 @@ RunRow run_game(const std::string& workload, placement::PolicyKind kind,
 }
 
 RunRow run_crash(placement::PolicyKind kind, bool smoke, std::ofstream& audit_out) {
-  harness::FailoverConfig config;
+  harness::ChannelScenario config = harness::failover_scenario();
   config.seed = 7;
-  fault::FaultSchedule crash;
-  crash.crash(seconds(20));
-  config.schedule = crash;
+  config.faults.crash(seconds(20));
   if (smoke) {
     config.duration = seconds(35);
     config.drain = seconds(15);
   }
   config.placement.kind = kind;
-  const harness::FailoverResult r = run_failover(config);
+  const harness::ChannelScenarioResult r = run_channel_scenario(config);
 
   RunRow row;
   row.workload = "crash";
@@ -102,7 +100,7 @@ RunRow run_crash(placement::PolicyKind kind, bool smoke, std::ofstream& audit_ou
   row.mean_ms = r.delivery_us.mean() / 1000.0;
   row.plans = r.lb_stats.plans_generated;
   row.moves = r.lb_stats.channels_migrated;
-  row.peak_servers = static_cast<double>(config.servers);  // fixed fleet
+  row.peak_servers = static_cast<double>(r.peak_servers);
   row.emergency = r.lb_stats.emergency_rebalances;
   row.lost = r.lost;
   row.delivered = r.delivered_unique;

@@ -13,6 +13,29 @@ namespace {
 constexpr auto kIdBefore = [](const auto& entry, ChannelId id) { return entry.first < id; };
 }  // namespace
 
+// A new Stats field must be summed below too.
+static_assert(sizeof(DynamothClient::Stats) == 16 * sizeof(std::uint64_t));
+
+DynamothClient::Stats& DynamothClient::Stats::operator+=(const Stats& other) {
+  published += other.published;
+  messages_sent += other.messages_sent;
+  received += other.received;
+  duplicates_suppressed += other.duplicates_suppressed;
+  stale_drops += other.stale_drops;
+  wrong_server_replies += other.wrong_server_replies;
+  switches_followed += other.switches_followed;
+  connection_drops += other.connection_drops;
+  entries_expired += other.entries_expired;
+  fallback_resubscribes += other.fallback_resubscribes;
+  refused_publishes += other.refused_publishes;
+  pending_flushed += other.pending_flushed;
+  publishes_dropped += other.publishes_dropped;
+  republishes += other.republishes;
+  pattern_deliveries += other.pattern_deliveries;
+  patterns_expanded += other.patterns_expanded;
+  return *this;
+}
+
 DynamothClient::DynamothClient(sim::Simulator& sim, net::Network& network,
                                ServerRegistry& registry,
                                std::shared_ptr<const ConsistentHashRing> base_ring,

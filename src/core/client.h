@@ -100,6 +100,9 @@ class DynamothClient : private ChannelTable::Listener {
     // Pattern subscriptions (DESIGN.md section 14).
     std::uint64_t pattern_deliveries = 0;  // handler invocations through patterns
     std::uint64_t patterns_expanded = 0;   // pattern -> channel expansions
+
+    /// Field-wise sum, for totals over many clients.
+    Stats& operator+=(const Stats& other);
   };
 
   /// Move-only, inline up to 48 capture bytes: installing a handler does not

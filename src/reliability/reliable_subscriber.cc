@@ -6,6 +6,18 @@
 
 namespace dynamoth::rel {
 
+// A new Stats field must be summed below too.
+static_assert(sizeof(ReliableSubscriber::Stats) == 5 * sizeof(std::uint64_t));
+
+ReliableSubscriber::Stats& ReliableSubscriber::Stats::operator+=(const Stats& other) {
+  delivered += other.delivered;
+  gaps_detected += other.gaps_detected;
+  replays_requested += other.replays_requested;
+  recovered += other.recovered;
+  gave_up += other.gave_up;
+  return *this;
+}
+
 ReliableSubscriber::ReliableSubscriber(sim::Simulator& sim, core::DynamothClient& client,
                                        Config config)
     : sim_(sim), client_(client), config_(config), alive_(std::make_shared<bool>(true)) {

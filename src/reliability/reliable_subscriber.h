@@ -44,6 +44,9 @@ class ReliableSubscriber {
     std::uint64_t replays_requested = 0; // request messages published
     std::uint64_t recovered = 0;         // gap messages filled by replay
     std::uint64_t gave_up = 0;           // gaps abandoned after max_retries
+
+    /// Field-wise sum, for totals over many subscribers.
+    Stats& operator+=(const Stats& other);
   };
 
   ReliableSubscriber(sim::Simulator& sim, core::DynamothClient& client, Config config);

@@ -3,6 +3,10 @@
 // reconnection after drops.
 #include "core/client.h"
 
+#include <array>
+#include <cstdint>
+#include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +23,25 @@ harness::ClusterConfig fixture_config(std::size_t servers = 2) {
   config.fixed_latency = true;
   config.fixed_latency_value = millis(5);
   return config;
+}
+
+// Every Stats field is summed, each into itself: field i holds i+1 on one
+// side and 100(i+1) on the other, so a skipped or crossed field shows up.
+TEST(Client, StatsSumEveryField) {
+  using Stats = DynamothClient::Stats;
+  static_assert(std::is_trivially_copyable_v<Stats>);
+  constexpr std::size_t kFields = sizeof(Stats) / sizeof(std::uint64_t);
+  Stats a{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16};
+  const Stats b{100,  200,  300,  400,  500,  600,  700,  800,
+                900, 1000, 1100, 1200, 1300, 1400, 1500, 1600};
+  a += b;
+  std::array<std::uint64_t, kFields> got{};
+  std::memcpy(got.data(), &a, sizeof a);
+  for (std::size_t i = 0; i < kFields; ++i) {
+    EXPECT_EQ(got[i], 101 * (i + 1)) << "field " << i;
+  }
+  EXPECT_EQ(a.published, 101u);
+  EXPECT_EQ(a.patterns_expanded, 1616u);
 }
 
 TEST(Client, InitialEntryComesFromConsistentHashing) {

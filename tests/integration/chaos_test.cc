@@ -10,7 +10,7 @@
 
 #include "fault/schedule.h"
 #include "harness/cluster.h"
-#include "harness/failover.h"
+#include "harness/channel_scenario.h"
 
 namespace dynamoth {
 namespace {
@@ -24,14 +24,14 @@ using LivenessKind = core::BalancerBase::LivenessEvent::Kind;
 // the reliability layer replays across the gap — message-id dedup has to
 // collapse all of that to exactly-once delivery.
 TEST(Chaos, PartitionThenHealNoDuplicatesNoLoss) {
-  harness::FailoverConfig config;
+  harness::ChannelScenario config = harness::failover_scenario();
   config.seed = 11;
   config.reliability = true;
   config.duration = seconds(40);
   config.drain = seconds(20);
-  config.schedule.partition(seconds(12), 1, seconds(12));
+  config.faults.partition(seconds(12), 1, seconds(12));
 
-  const harness::FailoverResult r = harness::run_failover(config);
+  const harness::ChannelScenarioResult r = harness::run_channel_scenario(config);
 
   ASSERT_GT(r.published, 0u);
   EXPECT_EQ(r.lost, 0u);
@@ -53,20 +53,20 @@ TEST(Chaos, PartitionThenHealNoDuplicatesNoLoss) {
 // Crash through the injector API: the emergency rebalance must run outside
 // the periodic round and leave an audit record naming the suspected server.
 TEST(Chaos, CrashLeavesEmergencyAuditTrail) {
-  harness::FailoverConfig config;
+  harness::ChannelScenario config = harness::failover_scenario();
   config.seed = 13;
   config.duration = seconds(30);
   config.drain = seconds(10);
-  config.schedule.crash(seconds(10));  // permanent
+  config.faults.crash(seconds(10));  // permanent
 
-  const harness::FailoverResult r = harness::run_failover(config);
+  const harness::ChannelScenarioResult r = harness::run_channel_scenario(config);
 
   ASSERT_EQ(r.fault_stats.crashes, 1u);
   EXPECT_GE(r.lb_stats.emergency_rebalances, 1u);
   EXPECT_GE(r.first_fault, 0);
   ASSERT_GE(r.detection_latency, 0);
   // Detector timeout plus two balancer ticks bounds detection.
-  EXPECT_LE(r.detection_latency, config.detector_timeout + 2 * seconds(1));
+  EXPECT_LE(r.detection_latency, harness::kDetectorTimeout + 2 * seconds(1));
 
   bool suspected = false;
   for (const auto& ev : r.liveness) {

@@ -27,7 +27,7 @@
 #include "core/client.h"
 #include "core/control.h"
 #include "harness/cluster.h"
-#include "harness/flashcrowd.h"
+#include "harness/channel_scenario.h"
 #include "sim/simulator.h"
 
 namespace dynamoth {
@@ -215,18 +215,17 @@ TEST(PatternEquivalence, SurvivesCrashAndRestart) {
 TEST(PatternEquivalence, FlashCrowdHarnessHoldsAtRandomSeeds) {
   for (std::uint64_t seed : {2u, 13u, 41u}) {
     SCOPED_TRACE(testing::Message() << "seed=" << seed);
-    harness::FlashCrowdConfig config;
+    harness::ChannelScenario config = harness::flashcrowd_scenario();  // fixed latency
     config.seed = seed;
     config.duration = seconds(30);
     config.drain = seconds(15);
-    config.cluster.fixed_latency = true;
     harness::FlashCrowdSchedule::RandomParams params;
     params.horizon = seconds(15);
     params.spikes = 2;
     params.min_factor = 20.0;
-    params.max_factor = 50.0;  // stays under the NIC line rate (see header)
+    params.max_factor = 50.0;  // stays under the NIC line rate
     config.spikes = harness::FlashCrowdSchedule::random(seed, params, config.channels);
-    const harness::FlashCrowdResult r = harness::run_flashcrowd(config);
+    const harness::ChannelScenarioResult r = harness::run_channel_scenario(config);
 
     EXPECT_EQ(r.pattern_missing, 0u);
     EXPECT_GT(r.patterns_expanded, 0u);
@@ -238,7 +237,7 @@ TEST(PatternEquivalence, FlashCrowdHarnessHoldsAtRandomSeeds) {
     // not duplicate more than the explicit reference arm does (same
     // clients-per-arm, timing-identical under fixed latency) — zero-dup
     // assertions live in the controlled replication test above.
-    EXPECT_LE(r.pattern_duplicates, r.explicit_duplicates + r.published / 10);
+    EXPECT_LE(r.pattern_duplicates, r.duplicates + r.published / 10);
   }
 }
 

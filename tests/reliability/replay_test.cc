@@ -39,6 +39,17 @@ struct Fixture {
   std::unique_ptr<ReplayService> service;
 };
 
+TEST(Replay, SubscriberStatsSumEveryField) {
+  ReliableSubscriber::Stats a{1, 2, 3, 4, 5};
+  const ReliableSubscriber::Stats b{100, 200, 300, 400, 500};
+  a += b;
+  EXPECT_EQ(a.delivered, 101u);
+  EXPECT_EQ(a.gaps_detected, 202u);
+  EXPECT_EQ(a.replays_requested, 303u);
+  EXPECT_EQ(a.recovered, 404u);
+  EXPECT_EQ(a.gave_up, 505u);
+}
+
 TEST(Replay, ServiceRecordsCoveredChannels) {
   Fixture f;
   f.service->cover("game");
