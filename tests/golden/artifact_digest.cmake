@@ -4,8 +4,11 @@
 #   cmake -DBIN_DIR=<dir with the bench binaries> -DWORK_DIR=<scratch dir>
 #         -DSOURCE_DIR=<repo root> -P artifact_digest.cmake
 #
-# Each binary runs in its own directory under WORK_DIR, so the repo's copies
-# are never overwritten. The manifest is in `sha256sum -c` format with paths
+# Each `binaries` entry is a binary name, optionally followed by its
+# arguments; it runs in its own directory under WORK_DIR (named after the
+# binary), so the repo's copies are never overwritten. `fig_placement` runs
+# with `--smoke`: its checked-in fig_placement* artifacts are the smoke-size
+# outputs, not the full-size shoot-out. The manifest is in `sha256sum -c` format with paths
 # relative to the repo root, so `sha256sum -c tests/golden/artifacts.sha256`
 # run there checks the checked-in copies too; this script checks both the
 # regenerated and the checked-in files. On success or failure it writes the
@@ -23,22 +26,24 @@ set(manifest "${SOURCE_DIR}/tests/golden/artifacts.sha256")
 set(binaries
     fig4a_all_publishers fig4b_all_subscribers fig5_scalability fig6_load_ratio
     fig7_elasticity ablation_cpu_aware ablation_propagation ablation_replication
-    ablation_thresholds fig_failover fig_flashcrowd)
+    ablation_thresholds fig_failover fig_flashcrowd "fig_placement --smoke")
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 set(errors "")
-foreach(bin IN LISTS binaries)
+foreach(entry IN LISTS binaries)
+  separate_arguments(args UNIX_COMMAND "${entry}")
+  list(POP_FRONT args bin)
   set(dir "${WORK_DIR}/${bin}")
   file(MAKE_DIRECTORY "${dir}")
   string(TIMESTAMP t0 "%s")
-  execute_process(COMMAND "${BIN_DIR}/${bin}" WORKING_DIRECTORY "${dir}"
+  execute_process(COMMAND "${BIN_DIR}/${bin}" ${args} WORKING_DIRECTORY "${dir}"
                   RESULT_VARIABLE rc OUTPUT_FILE "${dir}/stdout.txt"
                   ERROR_FILE "${dir}/stderr.txt")
   string(TIMESTAMP t1 "%s")
   math(EXPR secs "${t1} - ${t0}")
-  message(STATUS "${bin}: exit ${rc}, ${secs} s")
+  message(STATUS "${entry}: exit ${rc}, ${secs} s")
   if(NOT rc EQUAL 0)
-    string(APPEND errors "  ${bin} exited with ${rc} (see ${dir}/stderr.txt)\n")
+    string(APPEND errors "  ${entry} exited with ${rc} (see ${dir}/stderr.txt)\n")
   endif()
 endforeach()
 
