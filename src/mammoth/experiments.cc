@@ -200,6 +200,9 @@ GameExperimentResult GameExperimentRun::finish() {
   result_.executed_events = cluster_.sim().executed_events();
   result_.rng_draws = Rng::total_draws() - rng_draws_start_;
   result_.connection_drops = game_.total_connection_drops();
+  if (cluster_.balancer_node() != kInvalidNode) {
+    result_.control_bytes = cluster_.network().counters(cluster_.balancer_node()).bytes_sent;
+  }
   result_.metrics.counter("connection_drops").set(result_.connection_drops);
   result_.metrics.counter("total_updates").set(result_.total_updates);
   return std::move(result_);
