@@ -5,7 +5,6 @@
 //
 //   greedy        the paper's Algorithm 2 — reactive, migrates on demand
 //   bounded-load  CH with bounded loads — sticky placements, spill on cap
-//   peak-ewma     decayed-peak homing — repels load from recently hot servers
 //   maglev        table-driven stateless mapping — placement is membership
 //
 // Outputs:
@@ -123,7 +122,7 @@ int main(int argc, char** argv) {
   std::vector<placement::PolicyKind> kinds;
   for (placement::PolicyKind kind :
        {placement::PolicyKind::kGreedy, placement::PolicyKind::kBoundedLoad,
-        placement::PolicyKind::kPeakEwma, placement::PolicyKind::kMaglev}) {
+        placement::PolicyKind::kMaglev}) {
     if (only.empty() || only == placement::to_string(kind)) kinds.push_back(kind);
   }
   if (kinds.empty()) {

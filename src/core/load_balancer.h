@@ -9,7 +9,7 @@
 //     (src/placement). The default GreedyPolicy is the paper's Algorithm 2 —
 //     migrate busiest channels off the most loaded server, rent new cloud
 //     servers when nothing else helps — plus the low-load drain; alternative
-//     policies (bounded-load hashing, Peak-EWMA, Maglev) slot into the same
+//     policies (bounded-load hashing, Maglev) slot into the same
 //     round, audit log and emergency path.
 #pragma once
 

@@ -25,7 +25,7 @@ bool heavier(const Item& a, const Item& b) {
 }  // namespace
 
 BoundedLoadPolicy::BoundedLoadPolicy(const PolicyConfig& config)
-    : epsilon_(config.bounded_epsilon), ring_(config.ring_virtual_nodes) {}
+    : epsilon_(config.bounded_epsilon), ring_(kRingVirtualNodes) {}
 
 std::string BoundedLoadPolicy::params() const {
   char buf[64];
@@ -179,20 +179,9 @@ void BoundedLoadPolicy::system_rebalance(RoundOps& ops, bool scale_down_allowed)
   }
 
   // ---- scale-down: same gate as the paper's low-load rule ----
-  if (!scale_down_allowed || order.size() <= limits.min_servers) return;
-  double avg = 0;
-  for (ServerId s : order) avg += ops.est_lr(s);
-  avg /= static_cast<double>(order.size());
-  if (avg >= limits.lr_low) return;
-
-  // Never release a base-ring member ("plan 0" must keep resolving).
-  ServerId victim = kInvalidServer;
-  for (ServerId s : order) {  // least pressured first
-    if (!ops.base_ring().contains(s)) {
-      victim = s;
-      break;
-    }
-  }
+  if (!scale_down_allowed) return;
+  const DrainGate gate = drain_gate(ops, order);
+  const ServerId victim = gate.victim;
   if (victim == kInvalidServer) return;
 
   // Drain through the same bounded walk, with the victim off the ring.
@@ -248,7 +237,7 @@ void BoundedLoadPolicy::system_rebalance(RoundOps& ops, bool scale_down_allowed)
     return;
   }
 
-  ops.add_trigger("avg LR < lr_low", victim, avg, limits.lr_low);
+  ops.add_trigger("avg LR < lr_low", victim, gate.avg_lr, limits.lr_low);
   for (const auto& [it, target] : moves) {
     core::PlanEntry entry;
     entry.servers = {target};

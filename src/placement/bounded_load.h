@@ -16,6 +16,9 @@ namespace dynamoth::placement {
 
 class BoundedLoadPolicy final : public PlacementPolicy {
  public:
+  /// Virtual nodes per server on the policy's internal ring.
+  static constexpr int kRingVirtualNodes = 64;
+
   explicit BoundedLoadPolicy(const PolicyConfig& config);
 
   [[nodiscard]] const char* name() const override { return "bounded-load"; }

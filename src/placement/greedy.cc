@@ -117,26 +117,10 @@ void GreedyPolicy::high_load(RoundOps& ops) {
 
 void GreedyPolicy::low_load(RoundOps& ops) {
   const Limits& limits = ops.limits();
-  const std::vector<ServerId> order = ops.servers_by_load({});
-  if (order.size() <= limits.min_servers) return;
-
-  // Global average estimated load ratio.
-  double avg = 0;
-  for (ServerId s : order) avg += ops.est_lr(s);
-  avg /= static_cast<double>(order.size());
-  if (avg >= limits.lr_low) return;
-
-  // Never release a ring member: consistent-hash fallback must keep
-  // resolving to a live server (base servers host "plan 0" traffic).
-  ServerId victim = kInvalidServer;
-  for (ServerId s : order) {
-    if (!ops.base_ring().contains(s)) {
-      victim = s;
-      break;
-    }
-  }
+  const DrainGate gate = drain_gate(ops, ops.servers_by_load({}));
+  const ServerId victim = gate.victim;
   if (victim == kInvalidServer) return;
-  ops.add_trigger("avg LR < lr_low", victim, avg, limits.lr_low);
+  ops.add_trigger("avg LR < lr_low", victim, gate.avg_lr, limits.lr_low);
 
   // Drain: move every channel off the victim while targets stay safe.
   // Collect first (apply() mutates the victim's rate map).

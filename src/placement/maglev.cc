@@ -8,8 +8,6 @@
 
 namespace dynamoth::placement {
 
-MaglevPolicy::MaglevPolicy(const PolicyConfig& config) : table_(config.maglev_table_size) {}
-
 std::string MaglevPolicy::params() const {
   char buf[48];
   std::snprintf(buf, sizeof buf, "table=%u", table_.table_size());
@@ -81,31 +79,21 @@ void MaglevPolicy::system_rebalance(RoundOps& ops, bool scale_down_allowed) {
 
   // ---- scale-down: drop the least pressured non-ring server and let the
   // rebuilt table re-spread its channels ----
-  if (!scale_down_allowed || order.size() <= limits.min_servers) return;
-  double avg = 0;
-  for (ServerId s : order) avg += ops.est_lr(s);
-  avg /= static_cast<double>(order.size());
-  if (avg >= limits.lr_low) return;
+  if (!scale_down_allowed) return;
+  const DrainGate gate = drain_gate(ops, order);
+  const ServerId victim = gate.victim;
+  if (victim == kInvalidServer) return;
   // The survivors absorb the victim's share; stay well clear of lr_safe.
-  const double projected = avg * static_cast<double>(order.size()) /
+  const double projected = gate.avg_lr * static_cast<double>(order.size()) /
                            static_cast<double>(order.size() - 1);
   if (projected >= limits.lr_safe) return;
-
-  ServerId victim = kInvalidServer;
-  for (ServerId s : order) {  // least pressured first
-    if (!ops.base_ring().contains(s)) {
-      victim = s;
-      break;
-    }
-  }
-  if (victim == kInvalidServer) return;
 
   std::vector<ServerId> without;
   for (ServerId s : members) {
     if (s != victim) without.push_back(s);
   }
   table_.build(without);
-  ops.add_trigger("avg LR < lr_low", victim, avg, limits.lr_low);
+  ops.add_trigger("avg LR < lr_low", victim, gate.avg_lr, limits.lr_low);
   remap(ops, victim);
   ops.set_kind(core::RebalanceKind::kLowLoad);
   ops.begin_drain(victim);

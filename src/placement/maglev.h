@@ -14,7 +14,11 @@ namespace dynamoth::placement {
 
 class MaglevPolicy final : public PlacementPolicy {
  public:
-  explicit MaglevPolicy(const PolicyConfig& config);
+  /// Lookup table size: prime, and >> max_servers * 100 for even splits
+  /// (Maglev paper section 3.4).
+  static constexpr std::uint32_t kTableSize = 2039;
+
+  MaglevPolicy() : table_(kTableSize) {}
 
   [[nodiscard]] const char* name() const override { return "maglev"; }
   [[nodiscard]] std::string params() const override;

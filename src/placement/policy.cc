@@ -3,7 +3,6 @@
 #include "placement/bounded_load.h"
 #include "placement/greedy.h"
 #include "placement/maglev.h"
-#include "placement/peak_ewma.h"
 
 namespace dynamoth::placement {
 
@@ -13,23 +12,29 @@ const char* to_string(PolicyKind kind) {
       return "greedy";
     case PolicyKind::kBoundedLoad:
       return "bounded-load";
-    case PolicyKind::kPeakEwma:
-      return "peak-ewma";
     case PolicyKind::kMaglev:
       return "maglev";
   }
   return "?";
 }
 
-bool parse_policy_kind(std::string_view name, PolicyKind* out) {
-  for (PolicyKind kind : {PolicyKind::kGreedy, PolicyKind::kBoundedLoad, PolicyKind::kPeakEwma,
-                          PolicyKind::kMaglev}) {
-    if (name == to_string(kind)) {
-      *out = kind;
-      return true;
+DrainGate drain_gate(const RoundOps& ops, const std::vector<ServerId>& order) {
+  const Limits& limits = ops.limits();
+  DrainGate gate;
+  if (order.size() <= limits.min_servers) return gate;
+
+  // Global average estimated load ratio.
+  for (ServerId s : order) gate.avg_lr += ops.est_lr(s);
+  gate.avg_lr /= static_cast<double>(order.size());
+  if (gate.avg_lr >= limits.lr_low) return gate;
+
+  for (ServerId s : order) {  // least pressured first
+    if (!ops.base_ring().contains(s)) {
+      gate.victim = s;
+      break;
     }
   }
-  return false;
+  return gate;
 }
 
 ServerId PlacementPolicy::emergency_home(RoundOps& ops, const Channel& channel) {
@@ -44,10 +49,8 @@ std::unique_ptr<PlacementPolicy> make_policy(const PolicyConfig& config) {
       return std::make_unique<GreedyPolicy>();
     case PolicyKind::kBoundedLoad:
       return std::make_unique<BoundedLoadPolicy>(config);
-    case PolicyKind::kPeakEwma:
-      return std::make_unique<PeakEwmaPolicy>(config);
     case PolicyKind::kMaglev:
-      return std::make_unique<MaglevPolicy>(config);
+      return std::make_unique<MaglevPolicy>();
   }
   return std::make_unique<GreedyPolicy>();
 }

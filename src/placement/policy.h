@@ -5,9 +5,9 @@
 // large placement design space. This subsystem extracts the decision — given
 // id-indexed per-server channel load vectors, the current plan and the server
 // roster, which channel lives where — behind a PlacementPolicy interface, so
-// alternatives (consistent hashing with bounded loads, Peak-EWMA least-loaded
-// homing, Maglev tables) plug into the same balancer round, the same audit
-// log, and the same emergency-rebalance path.
+// alternatives (consistent hashing with bounded loads, Maglev tables) plug
+// into the same balancer round, the same audit log, and the same
+// emergency-rebalance path.
 //
 // Determinism contract: a policy may only depend on channel *names*, server
 // ids, and the load numbers it is handed. Interned ChannelIds are provided as
@@ -23,7 +23,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/channel_table.h"
@@ -37,14 +36,10 @@ namespace dynamoth::placement {
 enum class PolicyKind : std::uint8_t {
   kGreedy,       // the paper's Algorithm 2, extracted verbatim (default)
   kBoundedLoad,  // consistent hashing with bounded loads (Mirrokni et al.)
-  kPeakEwma,     // Peak-EWMA least-loaded channel homing
   kMaglev,       // Maglev lookup table as the stateless mapping
 };
 
 [[nodiscard]] const char* to_string(PolicyKind kind);
-/// Parses "greedy" / "bounded-load" / "peak-ewma" / "maglev" (for bench CLI
-/// flags). Returns false on an unknown name.
-[[nodiscard]] bool parse_policy_kind(std::string_view name, PolicyKind* out);
 
 struct PolicyConfig {
   PolicyKind kind = PolicyKind::kGreedy;
@@ -52,14 +47,6 @@ struct PolicyConfig {
   /// Bounded-load: per-server cap is (1+epsilon) * (total load / servers),
   /// scaled by the server's share of fleet capacity when capacities differ.
   double bounded_epsilon = 0.25;
-  /// Peak-EWMA: decay time constant (seconds) of the per-server peak load
-  /// signal. Smaller forgets spikes faster.
-  double ewma_decay_s = 30.0;
-  /// Maglev: lookup table size; prime, and >> max_servers * 100 for even
-  /// splits (Maglev paper section 3.4).
-  std::uint32_t maglev_table_size = 2039;
-  /// Bounded-load: virtual nodes per server on the policy's internal ring.
-  int ring_virtual_nodes = 64;
 };
 
 /// Thresholds the balancer round runs under; shared by all policies so a
@@ -147,10 +134,22 @@ class RoundOps {
   virtual void begin_drain(ServerId victim) = 0;
 };
 
+/// The scale-down gate every policy shares (the paper's low-load rule,
+/// III-B): the fleet in `order` (servers_by_load({}) as the caller last saw
+/// it) is larger than min_servers, its mean estimated LR is below lr_low, and
+/// some server in it is off the base ring ("plan 0" must keep resolving to a
+/// live server). The victim is the first such server, i.e. the least
+/// pressured one.
+struct DrainGate {
+  ServerId victim = kInvalidServer;  // kInvalidServer: the gate is closed
+  double avg_lr = 0;                 // mean est_lr over `order`, once computed
+};
+[[nodiscard]] DrainGate drain_gate(const RoundOps& ops, const std::vector<ServerId>& order);
+
 /// A placement policy: fills the system-level rebalance slot (the paper's
 /// Algorithm 2 position) and chooses emergency homes for channels orphaned
 /// by a failed server. Constructed once per balancer; may keep state across
-/// rounds (e.g. decayed peaks, internal rings).
+/// rounds (e.g. an internal ring or lookup table).
 class PlacementPolicy {
  public:
   virtual ~PlacementPolicy() = default;

@@ -394,10 +394,6 @@ TEST(AllocGuard, SteadyStateWithBoundedLoadPolicyIsAllocationFree) {
   expect_policy_steady_state_alloc_free(placement::PolicyKind::kBoundedLoad);
 }
 
-TEST(AllocGuard, SteadyStateWithPeakEwmaPolicyIsAllocationFree) {
-  expect_policy_steady_state_alloc_free(placement::PolicyKind::kPeakEwma);
-}
-
 TEST(AllocGuard, SteadyStateWithMaglevPolicyIsAllocationFree) {
   expect_policy_steady_state_alloc_free(placement::PolicyKind::kMaglev);
 }

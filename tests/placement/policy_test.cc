@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <map>
+#include <memory>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -12,7 +13,6 @@
 #include "placement/greedy.h"
 #include "placement/maglev.h"
 #include "placement/maglev_table.h"
-#include "placement/peak_ewma.h"
 #include "fake_round_ops.h"
 
 namespace dynamoth::placement {
@@ -20,11 +20,13 @@ namespace {
 
 using test::FakeRoundOps;
 
+constexpr PolicyKind kAllKinds[] = {PolicyKind::kGreedy, PolicyKind::kBoundedLoad,
+                                    PolicyKind::kMaglev};
+
 // ---- factory / naming ----
 
 TEST(PolicyFactory, BuildsEveryKindWithMatchingName) {
-  for (PolicyKind kind : {PolicyKind::kGreedy, PolicyKind::kBoundedLoad, PolicyKind::kPeakEwma,
-                          PolicyKind::kMaglev}) {
+  for (PolicyKind kind : kAllKinds) {
     PolicyConfig config;
     config.kind = kind;
     const auto policy = make_policy(config);
@@ -33,25 +35,11 @@ TEST(PolicyFactory, BuildsEveryKindWithMatchingName) {
   }
 }
 
-TEST(PolicyFactory, ParseRoundTripsEveryName) {
-  for (PolicyKind kind : {PolicyKind::kGreedy, PolicyKind::kBoundedLoad, PolicyKind::kPeakEwma,
-                          PolicyKind::kMaglev}) {
-    PolicyKind parsed{};
-    ASSERT_TRUE(parse_policy_kind(to_string(kind), &parsed));
-    EXPECT_EQ(parsed, kind);
-  }
-  PolicyKind parsed{};
-  EXPECT_FALSE(parse_policy_kind("round-robin", &parsed));
-}
-
 TEST(PolicyFactory, ParamsDescribeTunables) {
   PolicyConfig config;
   config.kind = PolicyKind::kBoundedLoad;
   config.bounded_epsilon = 0.5;
   EXPECT_EQ(make_policy(config)->params(), "eps=0.50,vnodes=64");
-  config.kind = PolicyKind::kPeakEwma;
-  config.ewma_decay_s = 45;
-  EXPECT_EQ(make_policy(config)->params(), "decay=45s");
   config.kind = PolicyKind::kMaglev;
   EXPECT_EQ(make_policy(config)->params(), "table=2039");
   config.kind = PolicyKind::kGreedy;
@@ -189,18 +177,61 @@ TEST(GreedyPolicy, RequestsSpawnWhenMigrationIsStuck) {
   EXPECT_EQ(ops.spawns(), 1u);
 }
 
-TEST(GreedyPolicy, DrainsIdleNonRingServer) {
+// ---- the shared scale-down gate, through every policy ----
+
+}  // namespace
+
+// Names the parameter in test output ("greedy", not a raw byte).
+void PrintTo(PolicyKind kind, std::ostream* os) { *os << to_string(kind); }
+
+namespace {
+
+class DrainGateTest : public ::testing::TestWithParam<PolicyKind> {
+ protected:
+  /// One round with scale-down allowed, on a nearly idle fleet: `a` offers
+  /// 100 B/s against 1000 B/s servers, so the mean LR is below lr_low.
+  void run_idle_round(FakeRoundOps& ops) {
+    ops.mutable_plan().set_entry("a", core::PlanEntry{{2}, core::ReplicationMode::kNone, 1});
+    ops.offer("a", 100);
+    PolicyConfig config;
+    config.kind = GetParam();
+    make_policy(config)->system_rebalance(ops, true);
+  }
+};
+
+TEST_P(DrainGateTest, DrainsIdleNonRingServer) {
   FakeRoundOps ops;
   ops.add_server(1, 1000, true);
-  ops.add_server(2, 1000, false);  // rented, nearly idle fleet
-  ops.mutable_plan().set_entry("a", core::PlanEntry{{2}, core::ReplicationMode::kNone, 1});
-  ops.offer("a", 100);  // avg LR 0.05 < lr_low
-
-  GreedyPolicy greedy;
-  greedy.system_rebalance(ops, true);
+  ops.add_server(2, 1000, false);  // rented
+  run_idle_round(ops);
   EXPECT_EQ(ops.drained(), 2u);
   EXPECT_EQ(ops.kind(), core::RebalanceKind::kLowLoad);
+  EXPECT_EQ(ops.plan().resolve("a", ops.base_ring()).servers, std::vector<ServerId>{1u});
 }
+
+TEST_P(DrainGateTest, NeverDrainsRingServers) {
+  FakeRoundOps ops;
+  ops.add_server(1, 1000, true);
+  ops.add_server(2, 1000, true);
+  run_idle_round(ops);
+  EXPECT_EQ(ops.drained(), kInvalidServer);
+}
+
+TEST_P(DrainGateTest, NeverDrainsAtMinServers) {
+  FakeRoundOps ops;
+  ops.mutable_limits().min_servers = 2;
+  ops.add_server(1, 1000, true);
+  ops.add_server(2, 1000, false);
+  run_idle_round(ops);
+  EXPECT_EQ(ops.drained(), kInvalidServer);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPolicies, DrainGateTest, ::testing::ValuesIn(kAllKinds),
+                         [](const ::testing::TestParamInfo<PolicyKind>& info) {
+                           return info.param == PolicyKind::kBoundedLoad
+                                      ? std::string("bounded_load")
+                                      : std::string(to_string(info.param));
+                         });
 
 // ---- bounded load ----
 
@@ -273,67 +304,10 @@ TEST(BoundedLoadPolicy, OverflowFlagsAndSpawns) {
   EXPECT_EQ(ops.spawns(), 1u);
 }
 
-// ---- peak-ewma ----
-
-TEST(PeakEwmaPolicy, ScoreDecaysExponentiallyAfterSpike) {
-  PolicyConfig config;
-  config.kind = PolicyKind::kPeakEwma;
-  config.ewma_decay_s = 30;
-  PeakEwmaPolicy policy(config);
-
-  FakeRoundOps ops;
-  ops.add_server(1, 1000, true);
-  ops.add_server(2, 1000, true);
-  ops.mutable_plan().set_entry("a", core::PlanEntry{{1}, core::ReplicationMode::kNone, 1});
-  ops.offer("a", 600);  // LR 0.6 spike on server 1
-  policy.system_rebalance(ops, true);
-  EXPECT_NEAR(policy.score(1), 0.6, 1e-9);
-
-  // Load vanishes; one decay constant later the peak is down to 1/e.
-  ops.clear_channel("a");
-  ops.advance(seconds(30));
-  policy.system_rebalance(ops, true);
-  EXPECT_NEAR(policy.score(1), 0.6 * std::exp(-1.0), 1e-6);
-  EXPECT_GT(policy.score(1), 0.0);  // remembered, not forgotten
-}
-
-TEST(PeakEwmaPolicy, MigratesTowardColdestPeakServer) {
-  PolicyConfig config;
-  config.kind = PolicyKind::kPeakEwma;
-  PeakEwmaPolicy policy(config);
-
-  FakeRoundOps ops;
-  ops.add_server(1, 1000, true);
-  ops.add_server(2, 1000, true);
-  ops.add_server(3, 1000, true);
-  // Warm round: server 2 runs hot (peak sticks), server 3 stays cold.
-  ops.mutable_plan().set_entry("warm", core::PlanEntry{{2}, core::ReplicationMode::kNone, 1});
-  ops.offer("warm", 700);
-  policy.system_rebalance(ops, true);
-
-  // Next round: server 2's load is gone (instantaneous), server 1 overloads.
-  ops.clear_channel("warm");
-  ops.advance(seconds(1));
-  ops.mutable_plan().set_entry("hot1", core::PlanEntry{{1}, core::ReplicationMode::kNone, 1});
-  ops.mutable_plan().set_entry("hot2", core::PlanEntry{{1}, core::ReplicationMode::kNone, 1});
-  ops.offer("hot1", 500);
-  ops.offer("hot2", 400);
-  ops.reset_round();
-  policy.system_rebalance(ops, true);
-
-  // The decayed peak still marks server 2 as recently hot, so the busiest
-  // channel must land on server 3 even though 2 and 3 are equally idle now.
-  ASSERT_FALSE(ops.moves().empty());
-  EXPECT_EQ(ops.moves().front().channel, "hot1");
-  EXPECT_EQ(ops.moves().front().to, std::vector<ServerId>{3u});
-}
-
 // ---- maglev policy (through the interface) ----
 
 TEST(MaglevPolicy, PinsChannelsToTableOwnersOnMembershipChange) {
-  PolicyConfig config;
-  config.kind = PolicyKind::kMaglev;
-  MaglevPolicy policy(config);
+  MaglevPolicy policy;
 
   FakeRoundOps ops;
   ops.add_server(1, 1000, true);
