@@ -116,12 +116,4 @@ void Cohort::on_message(const ps::EnvelopePtr& env) {
   }
 }
 
-void Cohort::record_remote_deliveries(std::uint64_t count, std::size_t bytes, SimTime latency) {
-  const std::uint32_t n = config_.members;
-  if (n == 0 || count == 0) return;
-  stats_.member_deliveries += count * n;
-  stats_.member_bytes += count * static_cast<std::uint64_t>(bytes) * n;
-  if (delivery_latency_ != nullptr) delivery_latency_->record_n(latency, count * n);
-}
-
 }  // namespace dynamoth::cohort

@@ -96,14 +96,6 @@ class Cohort {
   /// silent) until a later resize revives it.
   void set_members(std::uint32_t members);
 
-  /// Boundary-AoI relay (block-parallel mode): every member hears `count`
-  /// publications of `bytes` each that were published in a REMOTE region and
-  /// relayed over the inter-region gateway, `latency` after publication.
-  /// Same expansion as on_message — count x members per-member deliveries
-  /// and histogram entries — but no wire delivery event: the relayed copy
-  /// never touched the local pub/sub fabric.
-  void record_remote_deliveries(std::uint64_t count, std::size_t bytes, SimTime latency);
-
   [[nodiscard]] std::uint32_t members() const { return config_.members; }
   [[nodiscard]] const Channel& channel() const { return config_.channel; }
   [[nodiscard]] bool active() const { return active_; }

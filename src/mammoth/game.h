@@ -104,16 +104,6 @@ class Game {
   /// tile `idx` (cohort mode only).
   void add_members(std::size_t idx, std::uint32_t count);
 
-  /// Boundary-AoI relay delivery: members of owned tile `idx` hear `count`
-  /// publications of `bytes` each from a remote neighbouring tile, observed
-  /// `latency` after publication. Pure aggregate accounting — the relayed
-  /// copies crossed the inter-region gateway, not the local pub/sub fabric.
-  void deliver_remote(std::size_t idx, std::uint64_t count, std::size_t bytes, SimTime latency);
-
-  /// Members currently apportioned to tile `idx` (0 when unowned or empty).
-  [[nodiscard]] std::uint32_t tile_members(std::size_t idx) const {
-    return idx < cohorts_.size() && cohorts_[idx] ? cohorts_[idx]->members() : 0;
-  }
   /// True when this instance simulates tile `idx` (always, outside
   /// block-parallel mode).
   [[nodiscard]] bool owns_tile(std::size_t idx) const {

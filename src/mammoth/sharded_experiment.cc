@@ -1,7 +1,6 @@
 #include "mammoth/sharded_experiment.h"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -14,10 +13,7 @@ namespace {
 
 // Boundary-event wire format (sim::BoundaryEvent is a POD mailbox record):
 //   kMigration: a = destination tile, b = member count
-//   kRelayPub:  a = destination tile, b = publication count,
-//               c = payload bytes,    d = observed latency (us)
 constexpr std::uint32_t kMigration = 1;
-constexpr std::uint32_t kRelayPub = 2;
 
 /// Serialized member-handoff record on the gateway wire (position, entity
 /// state, session token — the control payload of a region transfer).
@@ -36,49 +32,21 @@ std::size_t fleet_share(std::size_t total, std::size_t region, std::size_t regio
 class GameShard : public sim::Shard {
  public:
   GameShard(const GameExperimentConfig& config, sim::ShardedEngine* engine, std::size_t region,
-            const ShardOptions& options,
             std::shared_ptr<const std::vector<std::uint32_t>> tile_owner)
-      : run_(config),
-        engine_(engine),
-        region_(region),
-        options_(options),
-        tile_owner_(std::move(tile_owner)) {
+      : run_(config), engine_(engine), region_(region), tile_owner_(std::move(tile_owner)) {
     if (engine_->shard_count() <= 1) return;  // classic mode: no gateway at all
-    gateway_ = run_.cluster().network().add_node(
-        {net::NodeKind::kInfrastructure, options_.gateway_egress});
+    gateway_ = run_.cluster().network().add_node({net::NodeKind::kInfrastructure, kGatewayEgress});
     run_.game().set_migration_sink(
         [this](std::size_t tile, std::uint32_t count) { emigrate(tile, count); });
-    if (options_.boundary_aoi) {
-      find_border_edges(config.game.tiles_per_side);
-      relay_.emplace(run_.sim(), seconds(1), [this] { relay_tick(); });
-      relay_->start();
-    }
   }
 
   sim::Simulator& simulator() override { return run_.sim(); }
 
   void on_boundary(std::size_t /*src*/, const sim::BoundaryEvent& ev) override {
-    switch (ev.type) {
-      case kMigration: {
-        const auto tile = static_cast<std::size_t>(ev.a);
-        const auto count = static_cast<std::uint32_t>(ev.b);
-        run_.sim().schedule_at(ev.at,
-                               [this, tile, count] { run_.game().add_members(tile, count); });
-        break;
-      }
-      case kRelayPub: {
-        const auto tile = static_cast<std::size_t>(ev.a);
-        const std::uint64_t count = ev.b;
-        const auto bytes = static_cast<std::size_t>(ev.c);
-        const auto latency = static_cast<SimTime>(ev.d);
-        run_.sim().schedule_at(ev.at, [this, tile, count, bytes, latency] {
-          run_.game().deliver_remote(tile, count, bytes, latency);
-        });
-        break;
-      }
-      default:
-        DYN_CHECK(false);
-    }
+    DYN_CHECK(ev.type == kMigration);
+    const auto tile = static_cast<std::size_t>(ev.a);
+    const auto count = static_cast<std::uint32_t>(ev.b);
+    run_.sim().schedule_at(ev.at, [this, tile, count] { run_.game().add_members(tile, count); });
   }
 
   [[nodiscard]] GameExperimentResult finish() { return run_.finish(); }
@@ -90,66 +58,15 @@ class GameShard : public sim::Shard {
     const SimTime depart =
         run_.cluster().network().occupy_egress(gateway_, kMigrationMsgBytes, count);
     engine_->post(region_, (*tile_owner_)[tile],
-                  {depart + options_.inter_region_delay, kMigration,
+                  {depart + kInterRegionDelay, kMigration,
                    static_cast<std::uint32_t>(tile), count, 0, 0.0});
   }
-
-  /// Ordered (owned source tile -> adjacent remote tile) pairs: publications
-  /// in `from` spill over the border so members in `to` hear them.
-  void find_border_edges(int side) {
-    const auto& owner = *tile_owner_;
-    static constexpr int kDx[4] = {1, -1, 0, 0};
-    static constexpr int kDy[4] = {0, 0, 1, -1};
-    for (std::size_t t = 0; t < owner.size(); ++t) {
-      if (owner[t] != region_) continue;
-      const int x = static_cast<int>(t) % side;
-      const int y = static_cast<int>(t) / side;
-      for (int d = 0; d < 4; ++d) {
-        const int nx = x + kDx[d];
-        const int ny = y + kDy[d];
-        if (nx < 0 || nx >= side || ny < 0 || ny >= side) continue;
-        const std::size_t n =
-            static_cast<std::size_t>(ny) * static_cast<std::size_t>(side) +
-            static_cast<std::size_t>(nx);
-        if (owner[n] != region_) edges_.push_back({t, n});
-      }
-    }
-  }
-
-  /// Aggregate boundary-AoI relay: once per second, the last second's
-  /// publications from each border tile cross the gateway to the remote
-  /// neighbour tile — one weighted wire copy per edge, expanded to exact
-  /// per-member deliveries on the far side (the cohort exactness argument,
-  /// applied to the federation link).
-  void relay_tick() {
-    const double rate = run_.config().game.player.updates_per_sec;
-    const std::size_t payload = run_.config().game.player.payload_bytes;
-    for (const Edge& e : edges_) {
-      const std::uint32_t members = run_.game().tile_members(e.from);
-      const auto pubs = static_cast<std::uint32_t>(static_cast<double>(members) * rate + 0.5);
-      if (pubs == 0) continue;
-      const SimTime now = run_.sim().now();
-      const SimTime depart = run_.cluster().network().occupy_egress(gateway_, payload, pubs);
-      const SimTime at = depart + options_.inter_region_delay;
-      engine_->post(region_, (*tile_owner_)[e.to],
-                    {at, kRelayPub, static_cast<std::uint32_t>(e.to), pubs,
-                     static_cast<std::uint64_t>(payload), static_cast<double>(at - now)});
-    }
-  }
-
-  struct Edge {
-    std::size_t from;  // owned border tile (publication source)
-    std::size_t to;    // adjacent tile in a remote region (listeners)
-  };
 
   GameExperimentRun run_;
   sim::ShardedEngine* engine_;
   std::size_t region_;
-  ShardOptions options_;
   std::shared_ptr<const std::vector<std::uint32_t>> tile_owner_;
   NodeId gateway_ = 0;
-  std::vector<Edge> edges_;
-  std::optional<sim::PeriodicTask> relay_;
 };
 
 /// Deterministic cross-region merge; see ShardedGameResult::merged.
@@ -212,9 +129,8 @@ GameExperimentResult merge_results(std::vector<GameExperimentResult>& parts,
 
 }  // namespace
 
-std::vector<std::uint32_t> BandShardAssigner::assign(const std::vector<double>& tile_weights,
-                                                     int /*tiles_per_side*/,
-                                                     std::size_t regions) const {
+std::vector<std::uint32_t> assign_bands(const std::vector<double>& tile_weights,
+                                        std::size_t regions) {
   const std::size_t tiles = tile_weights.size();
   DYN_CHECK(regions >= 1 && regions <= tiles);
   std::vector<std::uint32_t> owner(tiles, 0);
@@ -242,19 +158,14 @@ ShardedGameResult run_sharded_game_experiment(const GameExperimentConfig& config
                                               const ShardOptions& options) {
   DYN_CHECK(options.shards >= 1);
   DYN_CHECK(options.shards == 1 || config.game.cohort.enabled);
-  DYN_CHECK(options.shards == 1 || options.inter_region_delay > 0);
 
-  const BandShardAssigner default_assigner;
-  const ShardAssigner& assigner =
-      options.assigner != nullptr ? *options.assigner : default_assigner;
   auto tile_owner = std::make_shared<const std::vector<std::uint32_t>>(
-      options.shards > 1 ? assigner.assign(stationary_tile_weights(config.game),
-                                           config.game.tiles_per_side, options.shards)
+      options.shards > 1 ? assign_bands(stationary_tile_weights(config.game), options.shards)
                          : std::vector<std::uint32_t>{});
 
   sim::ShardedEngineConfig engine_config;
   engine_config.shards = options.shards;
-  engine_config.lookahead = options.inter_region_delay;
+  engine_config.lookahead = kInterRegionDelay;
   sim::ShardedEngine engine(engine_config);
 
   engine.build([&](std::size_t region) -> std::unique_ptr<sim::Shard> {
@@ -266,14 +177,11 @@ ShardedGameResult run_sharded_game_experiment(const GameExperimentConfig& config
       shard_config.game.region.region = static_cast<std::uint32_t>(region);
       shard_config.game.region.regions = static_cast<std::uint32_t>(options.shards);
       shard_config.game.region.tile_owner = *tile_owner;
-      if (options.split_fleet) {
-        shard_config.dynamoth.max_servers =
-            fleet_share(config.dynamoth.max_servers, region, options.shards);
-        shard_config.hash.max_servers =
-            fleet_share(config.hash.max_servers, region, options.shards);
-      }
+      shard_config.dynamoth.max_servers =
+          fleet_share(config.dynamoth.max_servers, region, options.shards);
+      shard_config.hash.max_servers = fleet_share(config.hash.max_servers, region, options.shards);
     }
-    return std::make_unique<GameShard>(shard_config, &engine, region, options, tile_owner);
+    return std::make_unique<GameShard>(shard_config, &engine, region, tile_owner);
   });
 
   engine.run_until(config.duration);

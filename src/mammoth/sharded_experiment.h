@@ -3,15 +3,11 @@
 // density — and each region runs as a complete sub-cluster (its own
 // Simulator, Network, balancer fleet and cohort population) on its own
 // sim::ShardedEngine shard. Regions are coupled only through an
-// inter-region gateway:
-//
-//  - Migration: a member whose aggregate random-walk step crosses a region
-//    border leaves its shard, occupies the gateway's egress port, and
-//    arrives at the owning region one inter-region delay later (the engine
-//    lookahead) as a BoundaryEvent.
-//  - Boundary AoI (opt-in): publications in a tile adjacent to a region
-//    border are relayed, once per second in aggregate, to the neighbouring
-//    region's edge tiles — members there hear them at gateway latency.
+// inter-region gateway: a member whose aggregate random-walk step crosses a
+// region border leaves its shard, occupies the gateway's egress port, and
+// arrives at the owning region one inter-region delay later (the engine
+// lookahead) as a BoundaryEvent. The balancer's max_servers fleet is divided
+// across regions (the shares sum to the unsharded fleet).
 //
 // K = 1 spawns no threads, no gateway, and no region map: it is the classic
 // run_game_experiment byte for byte (the determinism guard asserts it).
@@ -26,43 +22,23 @@
 
 namespace dynamoth::mammoth::exp {
 
-/// Pluggable tile -> region map for the block-parallel partitioner.
-class ShardAssigner {
- public:
-  virtual ~ShardAssigner() = default;
-  /// Returns tile_count entries in [0, regions); every region must own at
-  /// least one tile.
-  [[nodiscard]] virtual std::vector<std::uint32_t> assign(
-      const std::vector<double>& tile_weights, int tiles_per_side,
-      std::size_t regions) const = 0;
-};
+/// One-way inter-region gateway propagation delay; doubles as the engine
+/// lookahead, so it bounds the epoch length.
+inline constexpr SimTime kInterRegionDelay = millis(20);
+/// Gateway uplink line rate (B/s) per region.
+inline constexpr double kGatewayEgress = 1e9;
 
-/// Default assigner: contiguous row-major bands cut so cumulative stationary
-/// weight is balanced across regions — each shard gets an equal share of the
-/// population (and with it, of the event load).
-class BandShardAssigner : public ShardAssigner {
- public:
-  [[nodiscard]] std::vector<std::uint32_t> assign(const std::vector<double>& tile_weights,
-                                                  int tiles_per_side,
-                                                  std::size_t regions) const override;
-};
+/// The tile -> region map: contiguous row-major bands cut so cumulative
+/// stationary weight is balanced across regions — each shard gets an equal
+/// share of the population (and with it, of the event load). Returns
+/// tile_weights.size() entries in [0, regions); every region owns at least
+/// one tile.
+[[nodiscard]] std::vector<std::uint32_t> assign_bands(const std::vector<double>& tile_weights,
+                                                      std::size_t regions);
 
 struct ShardOptions {
   /// Region / shard / worker-thread count. 1 = classic single-threaded run.
   std::size_t shards = 1;
-  /// One-way inter-region gateway propagation delay; doubles as the engine
-  /// lookahead, so it bounds the epoch length. Must be > 0 for shards > 1.
-  SimTime inter_region_delay = millis(20);
-  /// Gateway uplink line rate (B/s) per region.
-  double gateway_egress = 1e9;
-  /// Arm the boundary-AoI relay. Off by default so --shards scaling sweeps
-  /// measure pure engine speedup on an unchanged workload.
-  bool boundary_aoi = false;
-  /// Divide the balancer's max_servers fleet across regions (sums to the
-  /// unsharded fleet). Off: every region gets the full cap.
-  bool split_fleet = true;
-  /// Optional custom partitioner; default is BandShardAssigner.
-  const ShardAssigner* assigner = nullptr;
 };
 
 struct ShardedGameResult {

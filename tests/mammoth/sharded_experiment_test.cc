@@ -1,7 +1,6 @@
 // Tests for the block-parallel game-experiment driver (DESIGN.md section
 // 15): K = 1 byte-identity with the classic driver, (seed, K) determinism,
-// population partitioning, cross-region migration, and the boundary-AoI
-// relay.
+// population partitioning, cross-region migration, and the band assigner.
 #include "mammoth/sharded_experiment.h"
 
 #include <gtest/gtest.h>
@@ -121,28 +120,11 @@ TEST(ShardedGameExperiment, MigrationCrossesRegionBoundaries) {
   EXPECT_GT(result.engine.epochs, 1u);
 }
 
-TEST(ShardedGameExperiment, BoundaryAoiRelayAddsRemoteDeliveries) {
-  const GameExperimentConfig config = cohort_config();
-  ShardOptions off;
-  off.shards = 2;
-  ShardOptions on = off;
-  on.boundary_aoi = true;
-  const ShardedGameResult without = run_sharded_game_experiment(config, off);
-  const ShardedGameResult with = run_sharded_game_experiment(config, on);
-  // Relayed publications expand into per-member delivery-latency entries on
-  // the far side of the border; everything else about the workload is
-  // unchanged, so the delta is exactly the relay's contribution.
-  EXPECT_GT(with.merged.delivery_latency_us.count(), without.merged.delivery_latency_us.count());
-  EXPECT_GT(with.engine.boundary_events, without.engine.boundary_events);
-}
-
 TEST(BandShardAssigner, CoversEveryRegionAndBalancesWeight) {
   GameExperimentConfig config = cohort_config();
   const std::vector<double> weights = stationary_tile_weights(config.game);
-  const BandShardAssigner assigner;
   for (const std::size_t regions : {2u, 3u, 4u}) {
-    const std::vector<std::uint32_t> owner =
-        assigner.assign(weights, config.game.tiles_per_side, regions);
+    const std::vector<std::uint32_t> owner = assign_bands(weights, regions);
     ASSERT_EQ(owner.size(), weights.size());
     std::vector<double> mass(regions, 0.0);
     for (std::size_t t = 0; t < owner.size(); ++t) {
