@@ -360,7 +360,7 @@ ChannelScenarioResult run_channel_scenario(const ChannelScenario& config) {
   }
 
   // ---- faults ----
-  ClusterFaultAdapter adapter(cluster, /*ring_safe=*/false);
+  ClusterFaultAdapter adapter(cluster);
   fault::FaultInjector injector(sim, adapter, config.faults, rng.fork("inject"));
 
   SimTime traffic_start = 0;
