@@ -7,22 +7,28 @@
 // expire on inactivity (paper IV-A5). Publications received through more than
 // one server during reconfiguration are deduplicated by globally unique
 // message id, remembered for one entry timeout (common/dedup_window.h).
+//
+// Per-channel state lives in one table keyed by interned ChannelId (DESIGN.md
+// section 10.1): states sit in a block pool (stable addresses while a handler
+// re-enters subscribe/unsubscribe), an open-addressing index maps id ->
+// state, and a name-sorted index keeps sweep() and on_closed() walking in
+// channel-name order, the order their scheduled events and RNG draws follow.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
-
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/channel_table.h"
 #include "common/dedup_window.h"
 #include "common/rng.h"
 #include "common/small_function.h"
+#include "common/small_sorted_set.h"
 #include "common/types.h"
 #include "core/consistent_hash.h"
 #include "core/control.h"
@@ -180,10 +186,10 @@ class DynamothClient : private ChannelTable::Listener {
   [[nodiscard]] std::set<Channel> pattern_channels(const std::string& pattern) const;
   /// Current local-plan entry for `channel`, or nullptr if unknown.
   [[nodiscard]] const PlanEntry* plan_entry(const Channel& channel) const;
-  [[nodiscard]] std::size_t plan_size() const { return channels_.size(); }
+  [[nodiscard]] std::size_t plan_size() const { return by_name_.size(); }
   /// Servers where our subscription for `channel` currently lives.
   [[nodiscard]] std::set<ServerId> subscription_servers(const Channel& channel) const;
-  [[nodiscard]] bool connected_to(ServerId server) const { return conns_.contains(server); }
+  [[nodiscard]] bool connected_to(ServerId server) const;
   /// Bytes held by the duplicate filter (read-only introspection).
   [[nodiscard]] std::size_t dedup_bytes() const { return dedup_.bytes(); }
 
@@ -196,39 +202,83 @@ class DynamothClient : private ChannelTable::Listener {
     std::set<Channel> channels;  // channels this pattern is expanded onto
   };
 
+  /// Servers a channel's subscription is placed on; almost always one.
+  using ServerSet = SmallSortedSet<ServerId, 4>;
+
+  /// Recently routed data publishes (send time, envelope), oldest first from
+  /// `head`. A vector consumed from a head index: it allocates nothing while
+  /// empty, which it always is when republish_window is 0.
+  struct RecentPublishes {
+    std::vector<std::pair<SimTime, ps::EnvelopePtr>> items;
+    std::size_t head = 0;
+  };
+
   struct ChannelState {
     PlanEntry entry;                // current known mapping
     SimTime last_activity = 0;
+    ChannelId id = kInvalidChannelId;  // key; the name lives in ChannelTable
     bool subscribed = false;
     MessageHandler handler;
     /// Patterns expanded onto this channel. A channel is *wanted* while
     /// subscribed || !patterns.empty(); pattern-held channels never expire
     /// and follow every plan change like explicit subscriptions.
     std::vector<PatternState*> patterns;
-    std::set<ServerId> sub_servers;  // where the subscription is placed
+    ServerSet sub_servers;                    // where the subscription is placed
     ServerId all_pubs_pick = kInvalidServer;  // sticky pick (all-publishers)
     std::uint64_t next_channel_seq = 0;       // per-channel publish sequence
-    /// Recently routed data publishes (send time, envelope), bounded by
-    /// republish_window; empty when the feature is off.
-    std::deque<std::pair<SimTime, ps::EnvelopePtr>> recent;
-    /// Key of this state in by_id_; kInvalidChannelId until first delivery.
-    ChannelId id = kInvalidChannelId;
+    RecentPublishes recent;                   // bounded by republish_window
+    ChannelState* next_free = nullptr;        // pool free list, while unused
+  };
+
+  /// One id -> state slot of the open-addressing index.
+  struct IndexSlot {
+    ChannelId id = kInvalidChannelId;  // kInvalidChannelId = empty
+    ChannelState* state = nullptr;
   };
 
   [[nodiscard]] static bool wants_subscription(const ChannelState& st) {
     return st.subscribed || !st.patterns.empty();
   }
 
-  ChannelState& state_for(const Channel& channel);
+  // ---- the channel-state table ----
+
+  /// The state for `id`, or nullptr when this client holds none.
+  [[nodiscard]] ChannelState* find_state(ChannelId id) const;
+  /// The state for a name, or nullptr; never interns.
+  [[nodiscard]] ChannelState* find_state(const Channel& channel) const;
+  /// The state for `id`, created on first contact with the consistent-hash
+  /// fallback entry (plan 0).
+  ChannelState& state_for(ChannelId id);
+  /// Interns quietly (common/channel_table.h): touching a channel here must
+  /// not announce it to pattern subscribers before a server sees it.
+  ChannelState& state_for(const Channel& channel) {
+    return state_for(ChannelTable::instance().intern_quiet(channel));
+  }
+  /// A fresh pool slot: the most recently freed one, else the next unused
+  /// one of the newest block.
+  ChannelState& acquire_state();
+  /// Removes `st` from the id index and returns its slot to the pool. The
+  /// caller removes it from by_name_.
+  void release_state(ChannelState& st);
+  void index_insert(ChannelId id, ChannelState* st);
+  void index_erase(ChannelId id);
+  [[nodiscard]] std::size_t index_home(ChannelId id) const {
+    return static_cast<std::uint32_t>(id * 0x9E37'79B1u) >> index_shift_;
+  }
+
   ps::RemoteConnection* connection(ServerId server);
   void apply_entry(const Channel& channel, const PlanEntry& entry);
-  void place_subscription(const Channel& channel, ChannelState& st);
+  void place_subscription(ChannelState& st);
   /// Falls back to the consistent-hash ring when every server in the
   /// channel's entry is dead (ring members are never released).
-  void ensure_live_entry(const Channel& channel, ChannelState& st);
+  void ensure_live_entry(ChannelState& st);
+  /// Replaces the entry with the channel's consistent-hash fallback.
+  void fall_back_to_ring(ChannelState& st);
   /// Routes `env` per the entry's replication mode; false when no live
   /// server could be reached (the caller stashes the envelope).
   bool route(ChannelState& st, const ps::EnvelopePtr& env);
+  /// Names `env`'s channel, stamping the interned id once it is announced.
+  static void name_channel(ps::Envelope& env, ChannelId id);
   void stash_pending(ps::MutEnvelopeRef env);
   void flush_pending();
   /// Tracks a successfully routed data publish for re-home retransmission.
@@ -236,9 +286,6 @@ class DynamothClient : private ChannelTable::Listener {
   /// Queues clones of the channel's recent publishes for delivery through
   /// its (re-homed) entry.
   void republish_recent(ChannelState& st);
-  /// The delivery target for `env`: through by_id_, falling back to (and
-  /// indexing from) channels_ on the channel's first delivery.
-  ChannelState* delivery_state(const ps::Envelope& env);
   void on_deliver(ServerId from, const ps::EnvelopePtr& env);
   void on_closed(ServerId from, ps::CloseReason reason);
   void sweep();
@@ -255,7 +302,7 @@ class DynamothClient : private ChannelTable::Listener {
   void attach_pattern(const Channel& channel, PatternState& pattern);
   /// Drops the channel's server-side subscriptions (used when the last
   /// interest — explicit or pattern — goes away).
-  void teardown_placement(const Channel& channel, ChannelState& st);
+  void teardown_placement(ChannelState& st);
 
   sim::Simulator& sim_;
   net::Network& network_;
@@ -266,11 +313,23 @@ class DynamothClient : private ChannelTable::Listener {
   Config config_;
   Rng rng_;
 
-  std::map<Channel, ChannelState> channels_;
-  /// Id-keyed index into channels_ (sorted by id) for the delivery path;
-  /// channels_ keeps name order for sweep() and on_closed(), whose iteration
-  /// order schedules events and draws from the RNG.
-  std::vector<std::pair<ChannelId, ChannelState*>> by_id_;
+  /// ChannelState pool: blocks that never move, so a state's address
+  /// survives later creations (a handler may subscribe mid-delivery). Block
+  /// sizes double from 1 to 16 as the client touches channels; nothing is
+  /// allocated before first contact. Freed slots are reused LIFO and keep
+  /// their entry's server-vector capacity.
+  std::vector<std::unique_ptr<ChannelState[]>> state_blocks_;
+  std::size_t block_size_ = 0;  // size of state_blocks_.back()
+  std::size_t block_used_ = 0;  // slots of it handed out so far
+  ChannelState* free_states_ = nullptr;
+  /// Open-addressing id -> state index (linear probing, backward-shift
+  /// erase, load <= 1/2); power-of-two size, empty until first contact.
+  std::vector<IndexSlot> index_;
+  int index_shift_ = 32;
+  /// Live states in channel-name order, touched only on create and erase.
+  /// sweep() and on_closed() walk it: their iteration order schedules events
+  /// and draws from the RNG, exactly as the old name-keyed map did.
+  std::vector<ChannelState*> by_name_;
   /// Registered patterns by text. std::map: node addresses are stable, so
   /// ChannelState::patterns can hold raw pointers.
   std::map<std::string, PatternState> patterns_;
@@ -281,7 +340,8 @@ class DynamothClient : private ChannelTable::Listener {
   std::vector<PatternState*> pattern_scratch_;
   bool expansion_scheduled_ = false;
   bool listening_ = false;  // registered as a ChannelTable listener
-  std::map<ServerId, std::unique_ptr<ps::RemoteConnection>> conns_;
+  /// Open connections, sorted by server id.
+  std::vector<std::pair<ServerId, std::unique_ptr<ps::RemoteConnection>>> conns_;
   /// Refused publishes awaiting retry. Mutable envelopes: a stashed message
   /// was never handed to a receiver, so restamping its entry version on
   /// flush is safe.

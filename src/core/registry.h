@@ -2,7 +2,6 @@
 // balancer and the cloud provisioner. Stands in for service discovery.
 #pragma once
 
-#include <map>
 #include <vector>
 
 #include "common/check.h"
@@ -15,15 +14,21 @@ class ServerRegistry {
  public:
   void add(ServerId id, ps::PubSubServer* server) {
     DYN_CHECK(server != nullptr);
+    if (servers_.size() <= id) servers_.resize(id + 1, nullptr);
+    if (servers_[id] == nullptr) ++size_;
     servers_[id] = server;
   }
 
-  void remove(ServerId id) { servers_.erase(id); }
+  void remove(ServerId id) {
+    if (id < servers_.size() && servers_[id] != nullptr) {
+      servers_[id] = nullptr;
+      --size_;
+    }
+  }
 
   /// Server by id, or nullptr if despawned/unknown.
   [[nodiscard]] ps::PubSubServer* find(ServerId id) const {
-    auto it = servers_.find(id);
-    return it == servers_.end() ? nullptr : it->second;
+    return id < servers_.size() ? servers_[id] : nullptr;
   }
 
   [[nodiscard]] ps::PubSubServer& get(ServerId id) const {
@@ -32,17 +37,22 @@ class ServerRegistry {
     return *s;
   }
 
+  /// Registered ids, ascending.
   [[nodiscard]] std::vector<ServerId> ids() const {
     std::vector<ServerId> out;
-    out.reserve(servers_.size());
-    for (const auto& [id, _] : servers_) out.push_back(id);
+    out.reserve(size_);
+    for (ServerId id = 0; id < servers_.size(); ++id) {
+      if (servers_[id] != nullptr) out.push_back(id);
+    }
     return out;
   }
 
-  [[nodiscard]] std::size_t size() const { return servers_.size(); }
+  [[nodiscard]] std::size_t size() const { return size_; }
 
  private:
-  std::map<ServerId, ps::PubSubServer*> servers_;  // ordered for determinism
+  /// Indexed by ServerId (a dense network node id); null = not registered.
+  std::vector<ps::PubSubServer*> servers_;
+  std::size_t size_ = 0;
 };
 
 }  // namespace dynamoth::core

@@ -73,6 +73,13 @@ struct Envelope {
     return channel_id_;
   }
 
+  /// Names the envelope's channel by an already-interned id: copies the
+  /// interned name and caches the id, so no hop hashes the name again.
+  void set_channel(ChannelId id) {
+    channel = ChannelTable::instance().name(id);
+    channel_id_ = id;
+  }
+
  private:
   friend class EnvelopePool;
 

@@ -65,29 +65,34 @@ void RemoteConnection::bounce_reset(const std::shared_ptr<Ctx>& ctx, PubSubServe
                       });
 }
 
-void RemoteConnection::subscribe(const Channel& channel) {
-  const std::size_t bytes = server_.config().msg_overhead_bytes + channel.size();
-  send_command(bytes, [ctx = ctx_, srv = &server_, conn = conn_, channel] {
+namespace {
+const Channel& channel_name(const Channel& channel) { return channel; }
+const Channel& channel_name(ChannelId channel) { return ChannelTable::instance().name(channel); }
+}  // namespace
+
+template <bool kSubscribe, class ChannelKey>
+void RemoteConnection::send_subscription(ChannelKey channel) {
+  const std::size_t bytes = server_.config().msg_overhead_bytes + channel_name(channel).size();
+  // By id: 32 capture bytes (guard + server + conn + id), inline in the
+  // network callback. By name the string rides along (a heap allocation).
+  send_command(bytes, [ctx = ctx_, srv = &server_, conn = conn_, channel = std::move(channel)] {
     if (!srv->running()) return;  // dead host: the command just vanishes
     if (srv->connection_alive(conn)) {
-      srv->handle_subscribe(conn, channel);
+      if constexpr (kSubscribe) {
+        srv->handle_subscribe(conn, channel_name(channel));
+      } else {
+        srv->handle_unsubscribe(conn, channel_name(channel));
+      }
       return;
     }
     bounce_reset(ctx, srv);
   });
 }
 
-void RemoteConnection::unsubscribe(const Channel& channel) {
-  const std::size_t bytes = server_.config().msg_overhead_bytes + channel.size();
-  send_command(bytes, [ctx = ctx_, srv = &server_, conn = conn_, channel] {
-    if (!srv->running()) return;
-    if (srv->connection_alive(conn)) {
-      srv->handle_unsubscribe(conn, channel);
-      return;
-    }
-    bounce_reset(ctx, srv);
-  });
-}
+void RemoteConnection::subscribe(const Channel& channel) { send_subscription<true>(channel); }
+void RemoteConnection::unsubscribe(const Channel& channel) { send_subscription<false>(channel); }
+void RemoteConnection::subscribe(ChannelId channel) { send_subscription<true>(channel); }
+void RemoteConnection::unsubscribe(ChannelId channel) { send_subscription<false>(channel); }
 
 void RemoteConnection::psubscribe(const std::string& pattern) {
   const std::size_t bytes = server_.config().msg_overhead_bytes + pattern.size();

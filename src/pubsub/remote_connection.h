@@ -10,6 +10,7 @@
 #include <functional>
 #include <memory>
 
+#include "common/channel_table.h"
 #include "common/small_function.h"
 #include "common/types.h"
 #include "net/network.h"
@@ -36,6 +37,11 @@ class RemoteConnection {
 
   void subscribe(const Channel& channel);
   void unsubscribe(const Channel& channel);
+  /// The same commands for an already-interned channel: they capture the
+  /// 4-byte id, not the name, so they fit the network callback's inline
+  /// buffer; the server is handed the interned name on arrival.
+  void subscribe(ChannelId channel);
+  void unsubscribe(ChannelId channel);
   void psubscribe(const std::string& pattern);
   void punsubscribe(const std::string& pattern);
   void publish(EnvelopePtr env);
@@ -75,6 +81,11 @@ class RemoteConnection {
   /// (nobody listens to a reset on a closed socket). Cold by construction,
   /// hence out of line.
   static void bounce_reset(const std::shared_ptr<Ctx>& ctx, PubSubServer* srv);
+
+  /// SUBSCRIBE (kSubscribe) or UNSUBSCRIBE for a channel given by name or
+  /// by interned id; the command captures `channel` as given.
+  template <bool kSubscribe, class ChannelKey>
+  void send_subscription(ChannelKey channel);
 
   /// Ships an already-built command callback to the server, preserving
   /// per-connection FIFO arrival (a TCP-like stream).

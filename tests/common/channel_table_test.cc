@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 namespace dynamoth {
@@ -54,6 +56,61 @@ TEST(ChannelTable, ControlFlagIsCachedAtInternTime) {
   EXPECT_FALSE(ChannelTable::instance().is_control(data));
   // Prefix must anchor at the start of the name.
   EXPECT_FALSE(ChannelTable::instance().is_control(intern_channel("x@ctl:ctt:mid")));
+}
+
+/// Records announced names.
+class Recorder : public ChannelTable::Listener {
+ public:
+  void on_new_channel(ChannelId id, const std::string& name) override {
+    seen.emplace_back(id, name);
+  }
+  std::vector<std::pair<ChannelId, std::string>> seen;
+};
+
+TEST(ChannelTable, QuietInternAnnouncesOnFirstLoudIntern) {
+  ChannelTable& table = ChannelTable::instance();
+  Recorder rec;
+  table.add_listener(&rec);
+  const std::size_t dir_before = table.directory().size();
+  const ChannelId quiet = table.intern_quiet("ctt:quiet:a");
+  EXPECT_FALSE(table.announced(quiet));
+  EXPECT_EQ(table.find("ctt:quiet:a"), quiet);  // has an id already
+  EXPECT_EQ(table.intern_quiet("ctt:quiet:a"), quiet);
+  EXPECT_TRUE(rec.seen.empty());
+  EXPECT_EQ(table.directory().size(), dir_before);
+
+  const ChannelId loud = intern_channel("ctt:quiet:b");  // announced at once
+  EXPECT_EQ(intern_channel("ctt:quiet:a"), quiet);        // announced now
+  EXPECT_TRUE(table.announced(quiet));
+  ASSERT_EQ(rec.seen.size(), 2u);
+  EXPECT_EQ(rec.seen[0], (std::pair<ChannelId, std::string>{loud, "ctt:quiet:b"}));
+  EXPECT_EQ(rec.seen[1], (std::pair<ChannelId, std::string>{quiet, "ctt:quiet:a"}));
+  // The directory lists announcement order, not id order.
+  ASSERT_EQ(table.directory().size(), dir_before + 2);
+  EXPECT_EQ(table.directory()[dir_before], loud);
+  EXPECT_EQ(table.directory()[dir_before + 1], quiet);
+  intern_channel("ctt:quiet:a");  // no second announcement
+  EXPECT_EQ(rec.seen.size(), 2u);
+  table.remove_listener(&rec);
+}
+
+TEST(ChannelTable, NewThreadStartsFromAnEmptyTable) {
+  // A thread's table is handed to a later thread when it exits; the later
+  // thread must see it empty, exactly like a fresh table.
+  auto probe = [](const char* name, std::size_t* size_before, ChannelId* id) {
+    std::thread([=] {
+      *size_before = ChannelTable::instance().size();
+      *id = intern_channel(name);
+    }).join();
+  };
+  std::size_t before1 = 1, before2 = 1;
+  ChannelId id1 = kInvalidChannelId, id2 = kInvalidChannelId;
+  probe("ctt:thread:first", &before1, &id1);
+  probe("ctt:thread:second", &before2, &id2);
+  EXPECT_EQ(before1, 0u);
+  EXPECT_EQ(before2, 0u);
+  EXPECT_EQ(id1, 0u);
+  EXPECT_EQ(id2, 0u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -254,6 +255,112 @@ TEST(Client, UnsubscribeGraceKeepsOldSubscriptionBriefly) {
   EXPECT_EQ(cluster.server(home).subscriber_count(c), 1u);
   cluster.sim().run_for(seconds(3));
   EXPECT_EQ(cluster.server(home).subscriber_count(c), 0u);
+}
+
+/// Records, in arrival order, the data channels a server subscribes one
+/// client node to.
+class SubscribeRecorder : public ps::LocalObserver {
+ public:
+  explicit SubscribeRecorder(NodeId node) : node_(node) {}
+  void on_publish(const ps::EnvelopePtr&, std::size_t, std::uint32_t) override {}
+  void on_subscribe(ps::ConnId, const Channel& channel, NodeId client_node) override {
+    if (client_node == node_ && !is_control_channel(channel)) channels.push_back(channel);
+  }
+  void on_unsubscribe(ps::ConnId, const Channel&, NodeId) override {}
+  void on_disconnect(ps::ConnId, const std::vector<Channel>&, const std::vector<std::string>&,
+                     ps::CloseReason) override {}
+
+  std::vector<Channel> channels;
+
+ private:
+  NodeId node_;
+};
+
+// The client keys its channel states by interned id, but sweep() and
+// on_closed() must keep walking them in channel-name order: each walk
+// schedules events (and may draw from the RNG) per channel, so the order is
+// part of the simulated behaviour. The names are interned b, a, c and
+// subscribed b, c, a, so neither id nor subscribe order coincides with name
+// order.
+TEST(Client, SweepAndReconnectFollowChannelNameOrder) {
+  const std::vector<Channel> by_name = {"cno:a", "cno:b", "cno:c"};
+  intern_channel("cno:b");
+  intern_channel("cno:a");
+  intern_channel("cno:c");
+  ASSERT_LT(ChannelTable::instance().find("cno:b"), ChannelTable::instance().find("cno:a"));
+
+  harness::ClusterConfig config = fixture_config(1);
+  // Tiny buffers: a flood on one channel makes the server drop the client.
+  config.pubsub.conn_drain_bytes_per_sec = 2000;
+  config.pubsub.conn_output_buffer_limit = 2000;
+  harness::Cluster cluster(config);
+  core::DynamothClient::Config cc;
+  cc.reconnect_delay = millis(200);
+  cc.resubscribe_keepalive = true;
+  auto& sub = cluster.add_client(cc);
+  auto& pub = cluster.add_client();
+  for (const char* c : {"cno:b", "cno:c", "cno:a"}) {
+    sub.subscribe(c, [](const ps::EnvelopePtr&) {});
+  }
+  cluster.sim().run_for(seconds(1));
+  const ServerId s = cluster.server_ids()[0];
+
+  // Reconnect: the server closes the connection (output-buffer overflow) and
+  // the client re-places every subscription it held there.
+  SubscribeRecorder after_drop(sub.node());
+  cluster.server(s).add_observer(&after_drop);
+  for (int i = 0; i < 200; ++i) pub.publish("cno:b", 400);
+  cluster.sim().run_for(seconds(5));
+  cluster.server(s).remove_observer(&after_drop);
+  ASSERT_GE(sub.stats().connection_drops, 1u);
+  ASSERT_FALSE(after_drop.channels.empty());
+  ASSERT_EQ(after_drop.channels.size() % by_name.size(), 0u);
+  for (std::size_t i = 0; i < after_drop.channels.size(); ++i) {
+    EXPECT_EQ(after_drop.channels[i], by_name[i % by_name.size()]) << "subscribe #" << i;
+  }
+
+  // Sweep: the server crashes silently and comes back empty; the sweep's
+  // keepalive finds the dead stub, reconnects and re-subscribes.
+  cluster.crash_server(s);
+  cluster.restart_server(s);
+  SubscribeRecorder after_restart(sub.node());
+  cluster.server(s).add_observer(&after_restart);
+  cluster.sim().run_for(seconds(6));  // > one sweep interval
+  cluster.server(s).remove_observer(&after_restart);
+  EXPECT_EQ(after_restart.channels, by_name);
+}
+
+// Channel states live in a block pool: a handler that subscribes to many new
+// channels mid-delivery must not move the state whose handler is running.
+// The handler reads its own captures after every subscribe, so a relocated
+// state shows up as a use-after-free under AddressSanitizer.
+TEST(Client, HandlerMaySubscribeDuringDelivery) {
+  harness::Cluster cluster(fixture_config());
+  auto& sub = cluster.add_client();
+  auto& pub = cluster.add_client();
+  constexpr int kNew = 100;
+  int added = 0;
+  int got = 0;
+  const std::string prefix = "hsd:new:";
+  sub.subscribe("hsd:trigger", [&sub, &added, &got, prefix](const ps::EnvelopePtr&) {
+    if (added > 0) return;
+    for (int i = 0; i < kNew; ++i) {
+      sub.subscribe(prefix + std::to_string(i), [&got](const ps::EnvelopePtr&) { ++got; });
+      ++added;
+    }
+  });
+  cluster.sim().run_for(seconds(1));
+  pub.publish("hsd:trigger");
+  cluster.sim().run_for(seconds(1));
+  ASSERT_EQ(added, kNew);
+  EXPECT_TRUE(sub.subscribed("hsd:trigger"));
+  for (int i = 0; i < kNew; ++i) {
+    ASSERT_TRUE(sub.subscribed(prefix + std::to_string(i))) << i;
+    pub.publish(prefix + std::to_string(i));
+  }
+  cluster.sim().run_for(seconds(1));
+  EXPECT_EQ(got, kNew);
+  EXPECT_EQ(sub.plan_size(), kNew + 1u);
 }
 
 TEST(ClientPattern, PsubscribeExpandsOverExistingChannels) {

@@ -23,6 +23,9 @@
 #include "cohort/cohort.h"
 #include "common/dedup_window.h"
 #include "common/types.h"
+#include "core/client.h"
+#include "core/consistent_hash.h"
+#include "core/registry.h"
 #include "harness/cluster.h"
 #include "metrics/histogram.h"
 #include "latency/latency_model.h"
@@ -279,6 +282,76 @@ TEST(AllocGuard, SubscriptionChurnOnWarmChannelsIsAllocationFree) {
   EXPECT_EQ(got - delivered_before, 4u);  // one delivery per cycle (pre-tombstone publish)
   EXPECT_EQ(server.subscriber_count("osc"), 0u);
   EXPECT_EQ(server.subscriber_count("churn"), 0u);
+}
+
+TEST(AllocGuard, ClientChannelChurnOnWarmChannelsIsAllocationFree) {
+  // The client library's per-channel bookkeeping under churn: a player
+  // crossing between two channels it already knows (subscribe the new one,
+  // unsubscribe the old one, publish on the new one), plus a channel that is
+  // published on once per cycle and expires past entry_timeout in between,
+  // so its state is re-created every cycle. One server, no LLA/dispatcher:
+  // nothing periodic runs but the client's own sweep. Once the state pool,
+  // the id index, the name-order index and the server's per-channel slots
+  // are warm, a cycle must not touch the allocator.
+  sim::Simulator sim;
+  net::Network network(sim, std::make_unique<net::FixedLatencyModel>(millis(1), millis(1)),
+                       Rng(29));
+  const NodeId server_node = network.add_node({net::NodeKind::kInfrastructure, 1e12});
+  ps::PubSubServer::Config config;
+  config.conn_drain_bytes_per_sec = 1e12;
+  config.infra_drain_bytes_per_sec = 1e12;
+  config.conn_output_buffer_limit = std::size_t{1} << 40;
+  config.max_egress_backlog = seconds(1e6);
+  ps::PubSubServer server(sim, network, server_node, config);
+  core::ServerRegistry registry;
+  registry.add(server_node, &server);
+  auto ring = std::make_shared<core::ConsistentHashRing>();
+  ring->add_server(server_node);
+
+  core::DynamothClient::Config client_config;
+  client_config.entry_timeout = seconds(2);
+  client_config.sweep_interval = seconds(1);
+  const NodeId client_node = network.add_node({net::NodeKind::kClient, 1e9});
+  core::DynamothClient client(sim, network, registry, ring, client_node, /*id=*/1,
+                              client_config, Rng(31));
+
+  const Channel tiles[2] = {"acc:tile:a", "acc:tile:b"};
+  const Channel expiring = "acc:expiring";
+  std::uint64_t got = 0;
+  int at = 0;
+  auto cycle = [&] {
+    const Channel& from = tiles[at];
+    const Channel& to = tiles[1 - at];
+    at = 1 - at;
+    client.subscribe(to, [&got](const ps::EnvelopePtr&) { ++got; });
+    client.unsubscribe(from);
+    for (int i = 0; i < 8; ++i) client.publish(to, 128);
+    client.publish(expiring, 128);
+    // 4 s > entry_timeout + sweep_interval: the idle entries expire. A
+    // publish every second keeps the duplicate filter non-empty (an emptied
+    // DedupWindow returns its memory by design; that is not channel state).
+    for (int s = 0; s < 4; ++s) {
+      client.publish(to, 128);
+      sim.run_for(seconds(1));
+    }
+  };
+
+  client.subscribe(tiles[0], [](const ps::EnvelopePtr&) {});
+  // Warm: 13 message ids per cycle, so the duplicate filter also crosses a
+  // 64-id word and grows its spill table before the clock starts.
+  for (int i = 0; i < 6; ++i) cycle();
+  const std::uint64_t expired_before = client.stats().entries_expired;
+  const std::uint64_t got_before = got;
+
+  const std::uint64_t allocs_before = g_new_calls;
+  for (int i = 0; i < 4; ++i) cycle();
+  const std::uint64_t allocs = g_new_calls - allocs_before;
+
+  EXPECT_EQ(allocs, 0u) << "warm client channel churn allocated " << allocs << " times over 4 cycles";
+  // Each cycle expires the once-published channel and the tile left behind.
+  EXPECT_EQ(client.stats().entries_expired - expired_before, 8u);
+  EXPECT_EQ(got - got_before, 4u * 12);
+  EXPECT_EQ(client.plan_size(), 1u);
 }
 
 TEST(AllocGuard, EndToEndClientPublishDeliverIsAllocationFree) {
