@@ -11,7 +11,9 @@
 // containers may release during teardown, after locals would be destroyed;
 // (b) a `thread_local` pointer stops being a LeakSanitizer root once its
 // thread exits, so every instance is also parked in a process-lifetime
-// registry that LSan can always reach.
+// registry that LSan can always reach. ChannelTable goes one step further:
+// an exited thread's table is cleared and handed to the next new thread, so
+// repeated sharded runs stop leaking one table per shard thread.
 #pragma once
 
 namespace dynamoth::detail {
