@@ -22,6 +22,8 @@
 #include <string>
 #include <vector>
 
+#include "core/balancer_base.h"
+#include "fault/failure_detector.h"
 #include "harness/channel_scenario.h"
 
 int main(int argc, char** argv) {
@@ -53,8 +55,9 @@ int main(int argc, char** argv) {
     scenarios.push_back({"partition", partition});
   }
 
-  const SimTime tick = seconds(1);
-  const SimTime budget = harness::kDetectorTimeout + 2 * tick + seconds(5);
+  // Detection takes at most the detector timeout plus two balancer ticks.
+  const SimTime budget =
+      fault::kDetectorTimeout + 2 * core::BalancerBase::kTickInterval + seconds(5);
 
   std::ofstream summary("fig_failover.csv");
   summary << "scenario,reliability,published,expected,delivered,lost,duplicates,"

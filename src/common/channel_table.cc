@@ -1,64 +1,23 @@
 #include "common/channel_table.h"
 
 #include <algorithm>
-#include <mutex>
-#include <vector>
 
 #include "common/thread_singleton.h"
 
 namespace dynamoth {
 
-namespace {
-
-/// Tables of threads that have exited. Sharded runs start new shard threads
-/// every run; each takes a retired table back, cleared, where it used to
-/// leak a fresh one and grow it name by name in new memory.
-struct Retired {
-  std::mutex mu;
-  std::vector<ChannelTable*> tables;
-};
-
-Retired& retired() {
-  static auto* r = new Retired();  // leaked: thread exits may outlive statics
-  return *r;
-}
-
-/// The calling thread's table; handed back to retired() when the thread
-/// exits. Never deleted, so names stay valid through static teardown.
-struct Lease {
-  explicit Lease(ChannelTable* t) : table(t) {}
-  Lease(const Lease&) = delete;
-  Lease& operator=(const Lease&) = delete;
-  ~Lease() {
-    const std::lock_guard<std::mutex> lock(retired().mu);
-    retired().tables.push_back(table);
-  }
-  ChannelTable* table;
-};
-
-}  // namespace
-
 ChannelTable& ChannelTable::instance() {
   // Per simulator thread: interned ids are only meaningful within one
   // simulation, and sharded mode runs one simulation per thread (DESIGN.md
-  // section 15). A retired table is cleared before reuse, so a new thread
-  // sees exactly what a fresh table would show; the process-lifetime
-  // registry keeps LeakSanitizer satisfied.
-  static thread_local const Lease lease([] {
-    {
-      const std::lock_guard<std::mutex> lock(retired().mu);
-      if (!retired().tables.empty()) {
-        ChannelTable* t = retired().tables.back();
-        retired().tables.pop_back();
-        t->clear();
-        return t;
-      }
-    }
-    auto* t = new ChannelTable();
-    detail::retain_for_process_lifetime(t);
-    return t;
-  }());
-  return *lease.table;
+  // section 15). A table handed on from an exited thread is cleared first,
+  // so a new thread sees exactly what a fresh table would show.
+  static thread_local const detail::ThreadLease<ChannelTable> lease(
+      [] { return new ChannelTable(); },
+      [](ChannelTable& t) {
+        t.clear();
+        return true;
+      });
+  return lease.get();
 }
 
 void ChannelTable::clear() {

@@ -34,8 +34,7 @@ BalancerBase::BalancerBase(sim::Simulator& sim, ServerRegistry& registry,
       cloud_(cloud),
       base_config_(config),
       plan_(make_plan_zero()),
-      detector_(config.detector),
-      ticker_(sim, config.tick_interval, [this] { tick(); }) {
+      ticker_(sim, kTickInterval, [this] { tick(); }) {
   DYN_CHECK(base_ring_ != nullptr);
 }
 
@@ -90,7 +89,7 @@ void BalancerBase::ingest_report(const LoadReport& report) {
   if (!state.reports.empty() && report.window_end <= state.reports.back().window_end) return;
   state.capacity = report.advertised_capacity;
   state.reports.push_back(report);
-  while (state.reports.size() > base_config_.lr_window) state.reports.pop_front();
+  while (state.reports.size() > kLoadRatioWindow) state.reports.pop_front();
   if (base_config_.detect_failures) detector_.heartbeat(report.server, sim_.now());
 }
 
@@ -101,8 +100,7 @@ void BalancerBase::tick() {
 }
 
 void BalancerBase::purge_stale_reports() {
-  if (base_config_.report_max_age <= 0) return;
-  const SimTime cutoff = sim_.now() - base_config_.report_max_age;
+  const SimTime cutoff = sim_.now() - kReportMaxAge;
   for (auto& [id, state] : servers_) {
     while (!state.reports.empty() && state.reports.front().window_end < cutoff) {
       state.reports.pop_front();

@@ -45,24 +45,24 @@ struct RebalanceEvent {
 
 class BalancerBase {
  public:
+  /// Decision-round period (one round per LLA report interval).
+  static constexpr SimTime kTickInterval = seconds(1);
+  /// Reports averaged over this many windows when computing load ratios.
+  static constexpr std::size_t kLoadRatioWindow = 3;
+  /// Reports older than this are purged before each decision round, so a
+  /// silent (dead or partitioned) server's last-window numbers stop feeding
+  /// est_lr / servers_by_load.
+  static constexpr SimTime kReportMaxAge = seconds(10);
+  // The emergency rebalance reads a suspected server's final report to learn
+  // which channels it owned, so that report must outlive detection.
+  static_assert(kReportMaxAge > fault::kDetectorTimeout);
+
   struct BaseConfig {
-    SimTime tick_interval = seconds(1);
-    /// Reports averaged over this many windows when computing load ratios.
-    std::size_t lr_window = 3;
-
-    /// Reports older than this are purged before each decision round, so a
-    /// silent (dead or partitioned) server's last-window numbers stop
-    /// feeding est_lr / servers_by_load. 0 disables the purge. Keep this
-    /// above the failure detector's timeout: the emergency rebalance wants
-    /// the dead server's final report to know which channels it owned.
-    SimTime report_max_age = seconds(10);
-
     /// Enables the heartbeat failure detector: LLA reports double as
-    /// liveness beacons, and a server silent past the detector's threshold
+    /// liveness beacons, and a server silent past fault::kDetectorTimeout
     /// triggers handle_server_failure() (emergency rebalance in the
     /// Dynamoth LB; plain detach by default).
     bool detect_failures = false;
-    fault::FailureDetector::Config detector;
   };
 
   /// One failure-detector transition, for tests and experiment timelines.
@@ -132,7 +132,7 @@ class BalancerBase {
 
  protected:
   struct ServerState {
-    std::deque<LoadReport> reports;  // most recent last, bounded by lr_window
+    std::deque<LoadReport> reports;  // most recent last, bounded by kLoadRatioWindow
     double capacity = 0;             // T_i from reports
     bool retiring = false;           // excluded from placement targets
   };

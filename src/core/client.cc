@@ -399,7 +399,7 @@ void DynamothClient::place_subscription(ChannelState& st) {
   std::weak_ptr<bool> alive = alive_;
   for (ServerId s : st.sub_servers) {
     if (want.contains(s)) continue;
-    sim_.schedule_after(config_.unsubscribe_grace, [this, alive, id = st.id, s] {
+    sim_.schedule_after(kUnsubscribeGrace, [this, alive, id = st.id, s] {
       auto a = alive.lock();
       if (!a || !*a) return;
       // Only drop the old subscription if it has not become wanted again.
@@ -554,7 +554,7 @@ ps::EnvelopePtr DynamothClient::publish(const Channel& channel, std::size_t payl
   env->id = MessageId{id_, next_seq_++};
   env->kind = ps::MsgKind::kData;
   name_channel(*env, st.id);
-  env->payload_bytes = payload_bytes ? payload_bytes : config_.default_payload_bytes;
+  env->payload_bytes = payload_bytes ? payload_bytes : kDefaultPayloadBytes;
   env->publish_time = sim_.now();
   env->publisher = id_;
   env->channel_seq = ++st.next_channel_seq;

@@ -43,15 +43,17 @@ namespace dynamoth::core {
 
 class DynamothClient : private ChannelTable::Listener {
  public:
+  /// Delay of the trailing unsubscribe when a subscription moves, so
+  /// in-flight forwards are not lost.
+  static constexpr SimTime kUnsubscribeGrace = seconds(1);
+  /// Payload size of a publish that names none.
+  static constexpr std::size_t kDefaultPayloadBytes = 128;
+
   struct Config {
-    SimTime entry_timeout = seconds(60);     // local-plan entry expiry; also
-                                             // the dedup horizon
-    SimTime sweep_interval = seconds(5);     // expiry check cadence
-    SimTime unsubscribe_grace = seconds(1);  // delay the trailing unsubscribe
-                                             // when moving a subscription, so
-                                             // in-flight forwards are not lost
-    SimTime reconnect_delay = millis(500);   // after the server dropped us
-    std::size_t default_payload_bytes = 128;
+    SimTime entry_timeout = seconds(60);    // local-plan entry expiry; also
+                                            // the dedup horizon
+    SimTime sweep_interval = seconds(5);    // expiry check cadence
+    SimTime reconnect_delay = millis(500);  // after the server dropped us
 
     /// Publishes that could not reach any live server wait here for the
     /// next flush (a later publish or the sweep); the oldest is dropped on
@@ -147,8 +149,9 @@ class DynamothClient : private ChannelTable::Listener {
   /// interest (explicit or pattern) are unsubscribed immediately.
   void punsubscribe(const std::string& pattern);
 
-  /// Publishes `payload_bytes` of application data on `channel`. Returns the
-  /// envelope (callers use its id/publish_time for RTT measurements).
+  /// Publishes `payload_bytes` (0: kDefaultPayloadBytes) of application data
+  /// on `channel`. Returns the envelope (callers use its id/publish_time for
+  /// RTT measurements).
   ps::EnvelopePtr publish(const Channel& channel, std::size_t payload_bytes = 0);
 
   /// Publishes a caller-built control envelope (kind kControl) on `channel`

@@ -29,16 +29,15 @@ ClientId parse_client_channel(const Channel& channel) {
 
 Dispatcher::Dispatcher(sim::Simulator& sim, net::Network& network, ServerRegistry& registry,
                        std::shared_ptr<const ConsistentHashRing> base_ring, ServerId self,
-                       Config config, Rng rng)
+                       Rng rng)
     : sim_(sim),
       network_(network),
       registry_(registry),
       base_ring_(std::move(base_ring)),
       self_(self),
-      config_(config),
       rng_(rng),
       plan_(make_plan_zero()),
-      cleaner_(sim, config.cleanup_interval, [this] { cleanup(); }) {
+      cleaner_(sim, kCleanupInterval, [this] { cleanup(); }) {
   DYN_CHECK(base_ring_ != nullptr && !base_ring_->empty());
 }
 
@@ -99,7 +98,7 @@ void Dispatcher::apply_plan(PlanPtr plan) {
   DYN_TRACE(instant(sim_.now(), self_, "dispatcher", "plan-apply", "plan_id",
                     static_cast<double>(plan_->id()), "entries",
                     static_cast<double>(plan_->entries().size())));
-  const SimTime expires = sim_.now() + config_.forward_timeout;
+  const SimTime expires = sim_.now() + kForwardTimeout;
 
   // Diff over the union of explicitly mapped channels; fallback-mapped
   // channels cannot change assignment (the base ring is immutable).
@@ -145,9 +144,9 @@ void Dispatcher::apply_plan(PlanPtr plan) {
       }
       // Forward to servers that may still hold subscribers not yet covered
       // by the new placement: old owners that left the set (until drained or
-      // forward_timeout), and — when this server *joined* an all-subscribers
+      // kForwardTimeout), and — when this server *joined* an all-subscribers
       // replica set — the old members, whose subscribers have not subscribed
-      // here yet (short replica_join_sync window; switch notifications
+      // here yet (short kReplicaJoinSync window; switch notifications
       // re-place them almost immediately).
       for (ServerId s : old_entry.servers) {
         if (s == self_) continue;
@@ -155,7 +154,7 @@ void Dispatcher::apply_plan(PlanPtr plan) {
           drain_[cid].old_owners[s] = expires;
           set_flag(cid, kFlagDrain);
         } else if (!was_owner && new_entry.mode == ReplicationMode::kAllSubscribers) {
-          drain_[cid].old_owners[s] = sim_.now() + config_.replica_join_sync;
+          drain_[cid].old_owners[s] = sim_.now() + kReplicaJoinSync;
           set_flag(cid, kFlagDrain);
         }
       }
@@ -203,12 +202,12 @@ Dispatcher::MovedAway& Dispatcher::moved_state(ChannelId cid, const ResolvedEntr
   if (it == moved_away_.end()) {
     MovedAway state;
     state.target = target.materialize();
-    state.expires = sim_.now() + config_.forward_timeout;
+    state.expires = sim_.now() + kForwardTimeout;
     it = moved_away_.emplace(cid, std::move(state)).first;
     set_flag(cid, kFlagMoved);
   } else {
     it->second.target = target.materialize();
-    it->second.expires = sim_.now() + config_.forward_timeout;
+    it->second.expires = sim_.now() + kForwardTimeout;
   }
   return it->second;
 }

@@ -40,18 +40,17 @@ namespace dynamoth::core {
 
 class Dispatcher final : public ps::LocalObserver {
  public:
-  struct Config {
-    /// How long to keep redirect/forwarding state for a moved channel; pairs
-    /// with the clients' plan-entry timeout (paper IV-A5).
-    SimTime forward_timeout = seconds(30);
-    /// How long a server that *joined* an all-subscribers replica set keeps
-    /// forwarding to the previous members (covers the window until their
-    /// subscribers have subscribed here too). Much shorter than
-    /// forward_timeout: it only spans switch propagation, not client-plan
-    /// expiry.
-    SimTime replica_join_sync = seconds(5);
-    SimTime cleanup_interval = seconds(5);
-  };
+  /// How long to keep redirect/forwarding state for a moved channel; pairs
+  /// with the clients' plan-entry timeout (paper IV-A5).
+  static constexpr SimTime kForwardTimeout = seconds(30);
+  /// How long a server that *joined* an all-subscribers replica set keeps
+  /// forwarding to the previous members (covers the window until their
+  /// subscribers have subscribed here too). Much shorter than
+  /// kForwardTimeout: it only spans switch propagation, not client-plan
+  /// expiry.
+  static constexpr SimTime kReplicaJoinSync = seconds(5);
+  /// Period of the sweep that drops expired forwarding state.
+  static constexpr SimTime kCleanupInterval = seconds(5);
 
   struct Stats {
     std::uint64_t forwards_to_owner = 0;    // wrong-server publications forwarded
@@ -66,8 +65,7 @@ class Dispatcher final : public ps::LocalObserver {
   };
 
   Dispatcher(sim::Simulator& sim, net::Network& network, ServerRegistry& registry,
-             std::shared_ptr<const ConsistentHashRing> base_ring, ServerId self,
-             Config config, Rng rng);
+             std::shared_ptr<const ConsistentHashRing> base_ring, ServerId self, Rng rng);
   ~Dispatcher() override;
 
   Dispatcher(const Dispatcher&) = delete;
@@ -173,7 +171,6 @@ class Dispatcher final : public ps::LocalObserver {
   ServerRegistry& registry_;
   std::shared_ptr<const ConsistentHashRing> base_ring_;
   ServerId self_;
-  Config config_;
   Rng rng_;
 
   PlanPtr plan_;

@@ -10,13 +10,13 @@
 namespace dynamoth::core {
 
 LocalLoadAnalyzer::LocalLoadAnalyzer(sim::Simulator& sim, net::Network& network,
-                                     ps::PubSubServer& server, Config config)
+                                     ps::PubSubServer& server, double advertised_capacity)
     : sim_(sim),
       network_(network),
       server_(server),
-      config_(config),
-      reporter_(sim, config.report_interval, [this] { emit_report(); }) {
-  DYN_CHECK(config_.advertised_capacity > 0);
+      advertised_capacity_(advertised_capacity),
+      reporter_(sim, kReportInterval, [this] { emit_report(); }) {
+  DYN_CHECK(advertised_capacity_ > 0);
 }
 
 LocalLoadAnalyzer::~LocalLoadAnalyzer() { stop(); }
@@ -168,7 +168,7 @@ void LocalLoadAnalyzer::emit_report() {
   const std::uint64_t bytes_now = network_.transmitted_bytes(server_.node());
   report.measured_out_bytes_per_sec =
       static_cast<double>(bytes_now - window_start_bytes_) / window_s;
-  report.advertised_capacity = config_.advertised_capacity;
+  report.advertised_capacity = advertised_capacity_;
   const SimTime cpu_now = server_.cpu_time_executed();
   report.cpu_utilization =
       to_seconds(cpu_now - window_start_cpu_) / window_s;

@@ -28,13 +28,12 @@ namespace dynamoth::core {
 
 class LocalLoadAnalyzer final : public ps::LocalObserver {
  public:
-  struct Config {
-    SimTime report_interval = seconds(1);  // the paper's time unit t
-    double advertised_capacity = 1.5e6;    // T_i, bytes/sec
-  };
+  /// Measurement window and report period: the paper's time unit t.
+  static constexpr SimTime kReportInterval = seconds(1);
 
+  /// `advertised_capacity` is T_i in bytes/sec.
   LocalLoadAnalyzer(sim::Simulator& sim, net::Network& network, ps::PubSubServer& server,
-                    Config config);
+                    double advertised_capacity);
   ~LocalLoadAnalyzer() override;
 
   LocalLoadAnalyzer(const LocalLoadAnalyzer&) = delete;
@@ -51,7 +50,7 @@ class LocalLoadAnalyzer final : public ps::LocalObserver {
   using ReportSink = std::function<void(const LoadReport&)>;
   void set_report_target(NodeId balancer_node, ReportSink sink);
 
-  [[nodiscard]] double advertised_capacity() const { return config_.advertised_capacity; }
+  [[nodiscard]] double advertised_capacity() const { return advertised_capacity_; }
   /// Load ratio over the last completed window (for tests/figures).
   [[nodiscard]] double last_load_ratio() const { return last_load_ratio_; }
 
@@ -97,7 +96,7 @@ class LocalLoadAnalyzer final : public ps::LocalObserver {
   sim::Simulator& sim_;
   net::Network& network_;
   ps::PubSubServer& server_;
-  Config config_;
+  double advertised_capacity_;
 
   // All per-channel state is indexed directly by the dense interned id —
   // on_publish runs once per local publication and is now a vector index,

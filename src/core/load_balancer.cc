@@ -323,7 +323,7 @@ void DynamothLoadBalancer::channel_level_rebalance(Round& r) {
       n_servers = static_cast<std::size_t>(std::ceil(s_ratio / config_.all_pubs_threshold));
     }
     n_servers = std::clamp<std::size_t>(n_servers, want == ReplicationMode::kNone ? 1 : 2,
-                                        std::min(config_.max_replicas, fleet));
+                                        std::min(kMaxReplicas, fleet));
 
     if (want == current.mode &&
         (want == ReplicationMode::kNone || n_servers == current.servers.size())) {
@@ -425,7 +425,6 @@ void DynamothLoadBalancer::handle_server_failure(ServerId server) {
   // are the only record of which ring-resolved channels lived there.
   const std::map<Channel, double> orphans = channel_out_rates(server);
   const SimTime silence = detector().silence(server, sim_.now());
-  const SimTime threshold = detector().config().timeout;
 
   // Purge everything the dead server fed into load accounting: detaching
   // drops its report history, so est_lr / servers_by_load can never use its
@@ -439,7 +438,7 @@ void DynamothLoadBalancer::handle_server_failure(ServerId server) {
   r.rec.suspected_server = server;
   r.rec.triggers.push_back(obs::RebalanceTrigger{"detector: LLA silence exceeded threshold",
                                                  server, to_seconds(silence),
-                                                 to_seconds(threshold)});
+                                                 to_seconds(fault::kDetectorTimeout)});
   if (r.capacity.empty()) {
     // No live reporting server to re-home onto; record the suspicion and let
     // a later round repair the plan once capacity reappears.

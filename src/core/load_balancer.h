@@ -26,6 +26,9 @@ namespace dynamoth::core {
 
 class DynamothLoadBalancer final : public BalancerBase {
  public:
+  /// Most servers a replicated channel spans (Algorithm 1).
+  static constexpr std::size_t kMaxReplicas = 8;
+
   struct Config {
     BaseConfig base;
 
@@ -50,7 +53,6 @@ class DynamothLoadBalancer final : public BalancerBase {
     double publication_threshold = 1000;  // min publications/s
     double all_pubs_threshold = 90;     // S_ratio: subscribers per publication /s
     double subscriber_threshold = 250;  // min subscribers
-    std::size_t max_replicas = 8;
 
     // Fleet sizing.
     std::size_t max_servers = 8;

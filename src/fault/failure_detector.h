@@ -6,13 +6,9 @@
 // per second directly to the balancer node, so the balancer can watch the
 // inter-arrival process with no extra traffic.
 //
-// Two detection modes:
-//  - fixed timeout (default): a server is suspected once it has been silent
-//    longer than `timeout` — simple, predictable detection latency;
-//  - phi-accrual (Hayashibara et al.): the silence is scored against the
-//    observed inter-arrival distribution (normal approximation), and the
-//    server is suspected when phi = -log10 P(silence >= t) crosses
-//    `phi_threshold` — adapts to jittery report paths.
+// Detection is a fixed timeout: a server is suspected once it has been
+// silent longer than kDetectorTimeout, which gives a simple, predictable
+// detection latency.
 //
 // The detector is pure bookkeeping over (server, time) pairs: it never
 // touches the network or the simulator, so it sits below core/ in the
@@ -20,7 +16,6 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <map>
 #include <vector>
 
@@ -28,56 +23,32 @@
 
 namespace dynamoth::fault {
 
+/// Silence after which a watched server is suspected: four missed one-second
+/// LLA reports.
+inline constexpr SimTime kDetectorTimeout = seconds(4);
+
 class FailureDetector {
  public:
-  struct Config {
-    /// Fixed-timeout mode: suspect after this much silence.
-    SimTime timeout = seconds(5);
-
-    /// Phi-accrual mode: suspect when phi crosses `phi_threshold` instead
-    /// of using the fixed timeout. Falls back to the timeout until enough
-    /// inter-arrival samples (>= 3) have been observed.
-    bool phi_accrual = false;
-    double phi_threshold = 8.0;
-    /// Inter-arrival samples kept per server for the phi estimate.
-    std::size_t window = 32;
-    /// Floor on the inter-arrival standard deviation, so a perfectly
-    /// regular heartbeat does not make phi explode on microscopic jitter.
-    SimTime min_interval_std = millis(100);
-  };
-
-  FailureDetector() : FailureDetector(Config{}) {}
-  explicit FailureDetector(Config config) : config_(config) {}
-
   /// Starts monitoring `server`. The watch time counts as an implicit first
   /// heartbeat, so a fresh server gets a full grace period before suspicion.
   void watch(ServerId server, SimTime now);
   /// Stops monitoring (server released, crashed and handled, ...).
   void forget(ServerId server);
-  [[nodiscard]] bool watching(ServerId server) const { return watched_.contains(server); }
+  [[nodiscard]] bool watching(ServerId server) const { return last_.contains(server); }
 
   /// Records a liveness beacon (an LLA report arrival).
   void heartbeat(ServerId server, SimTime now);
 
   /// Silence so far: time since the last heartbeat (or watch).
   [[nodiscard]] SimTime silence(ServerId server, SimTime now) const;
-  /// Phi-accrual suspicion level; 0 when not watched or just heard from.
-  [[nodiscard]] double phi(ServerId server, SimTime now) const;
   [[nodiscard]] bool suspected(ServerId server, SimTime now) const;
   /// All currently suspected servers, ascending id (deterministic order).
   [[nodiscard]] std::vector<ServerId> suspects(SimTime now) const;
 
-  [[nodiscard]] const Config& config() const { return config_; }
-  [[nodiscard]] std::size_t watched_count() const { return watched_.size(); }
+  [[nodiscard]] std::size_t watched_count() const { return last_.size(); }
 
  private:
-  struct State {
-    SimTime last = 0;                  // last heartbeat (or watch) time
-    std::deque<SimTime> intervals;     // recent inter-arrival samples
-  };
-
-  Config config_;
-  std::map<ServerId, State> watched_;  // ordered: deterministic iteration
+  std::map<ServerId, SimTime> last_;  // last heartbeat (or watch) time; ordered
 };
 
 }  // namespace dynamoth::fault

@@ -207,7 +207,6 @@ ChannelScenarioResult run_channel_scenario(const ChannelScenario& config) {
   core::DynamothLoadBalancer::Config lb_config;
   lb_config.t_wait = config.t_wait;
   lb_config.base.detect_failures = true;
-  lb_config.base.detector.timeout = kDetectorTimeout;
   lb_config.enable_replication = config.enable_replication;
   // Algorithm 1 thresholds, scaled down to this harness's client counts
   // (the paper's defaults assume thousands of real subscribers). With one

@@ -95,10 +95,6 @@ struct FlashCrowdSchedule {
                                                  std::size_t channels);
 };
 
-/// Heartbeat failure-detector timeout of every scenario. Detection takes at
-/// most this plus two balancer ticks, which recovery budgets build on.
-inline constexpr SimTime kDetectorTimeout = seconds(4);
-
 /// Only what callers actually vary; everything else (4 initial servers, a
 /// 100 ms base publish interval, 200 B payloads, 2 s settle, 1 s metrics
 /// windows, the scaled Algorithm 1 thresholds) is fixed in the driver.

@@ -22,11 +22,11 @@ Cluster::Cluster(ClusterConfig config) : config_(config), root_rng_(config.seed)
       [this](ServerId id) { despawn_server(id); });
 
   base_ring_mut_ = std::make_shared<core::ConsistentHashRing>();
+  base_ring_ = base_ring_mut_;
   for (std::size_t i = 0; i < config_.initial_servers; ++i) {
     const ServerId id = spawn_server();
     base_ring_mut_->add_server(id);
   }
-  base_ring_ = base_ring_mut_;
 }
 
 Cluster::~Cluster() {
@@ -46,22 +46,25 @@ ServerId Cluster::spawn_server() {
   node_config.egress_bytes_per_sec = config_.server_capacity * config_.server_nic_headroom;
   const NodeId node = network_->add_node(node_config);
 
+  start_stack(node, root_rng_.fork("dispatcher").fork(node));
+  if (cloud_) cloud_->note_server_started(node);  // billing starts
+  DYN_TRACE(set_track_name(node, "server " + std::to_string(node)));
+  DYN_TRACE(instant(sim_.now(), node, "fleet", "server-start"));
+  return node;
+}
+
+void Cluster::start_stack(ServerId id, Rng dispatcher_rng) {
   ServerStack stack;
-  stack.id = node;
-  stack.server = std::make_unique<ps::PubSubServer>(sim_, *network_, node, config_.pubsub);
-  registry_.add(node, stack.server.get());
-
-  auto lla_config = config_.lla;
-  lla_config.advertised_capacity = config_.server_capacity;
+  stack.id = id;
+  stack.server = std::make_unique<ps::PubSubServer>(sim_, *network_, id, config_.pubsub);
+  registry_.add(id, stack.server.get());
   stack.lla = std::make_unique<core::LocalLoadAnalyzer>(sim_, *network_, *stack.server,
-                                                        lla_config);
-
-  // The base ring may be empty while bootstrapping the very first server;
+                                                        config_.server_capacity);
+  // The base ring is empty while bootstrapping the very first server;
   // dispatchers require a non-empty ring, so seed it before constructing.
-  if (base_ring_mut_ && base_ring_mut_->empty()) base_ring_mut_->add_server(node);
-  stack.dispatcher = std::make_unique<core::Dispatcher>(
-      sim_, *network_, registry_, base_ring_ ? base_ring_ : base_ring_mut_, node,
-      config_.dispatcher, root_rng_.fork("dispatcher").fork(node));
+  if (base_ring_mut_->empty()) base_ring_mut_->add_server(id);
+  stack.dispatcher = std::make_unique<core::Dispatcher>(sim_, *network_, registry_, base_ring_,
+                                                        id, dispatcher_rng);
 
   stack.lla->start();
   stack.dispatcher->start();
@@ -70,12 +73,7 @@ ServerId Cluster::spawn_server() {
     stack.dispatcher->apply_plan(balancer_->current_plan());
     wire_balancer(stack);
   }
-
-  if (cloud_) cloud_->note_server_started(node);  // billing starts
-  stacks_.emplace(node, std::move(stack));
-  DYN_TRACE(set_track_name(node, "server " + std::to_string(node)));
-  DYN_TRACE(instant(sim_.now(), node, "fleet", "server-start"));
-  return node;
+  stacks_.emplace(id, std::move(stack));
 }
 
 void Cluster::wire_balancer(ServerStack& stack) {
@@ -127,28 +125,10 @@ void Cluster::restart_server(ServerId id) {
   crashed_.erase(id);
   const std::uint64_t incarnation = ++restart_counts_[id];
 
-  ServerStack stack;
-  stack.id = id;
-  stack.server = std::make_unique<ps::PubSubServer>(sim_, *network_, id, config_.pubsub);
-  registry_.add(id, stack.server.get());
-  auto lla_config = config_.lla;
-  lla_config.advertised_capacity = config_.server_capacity;
-  stack.lla = std::make_unique<core::LocalLoadAnalyzer>(sim_, *network_, *stack.server,
-                                                        lla_config);
+  network_->set_active(id, true);
   // A distinct RNG lineage per incarnation: the old dispatcher's stream died
   // with it, and reusing it would couple pre- and post-crash randomness.
-  stack.dispatcher = std::make_unique<core::Dispatcher>(
-      sim_, *network_, registry_, base_ring_, id, config_.dispatcher,
-      root_rng_.fork("dispatcher-restart").fork(id).fork(incarnation));
-
-  network_->set_active(id, true);
-  stack.lla->start();
-  stack.dispatcher->start();
-  if (balancer_ != nullptr) {
-    stack.dispatcher->apply_plan(balancer_->current_plan());
-    wire_balancer(stack);
-  }
-  stacks_.emplace(id, std::move(stack));
+  start_stack(id, root_rng_.fork("dispatcher-restart").fork(id).fork(incarnation));
   DYN_TRACE(instant(sim_.now(), id, "fault", "server-restart"));
 }
 

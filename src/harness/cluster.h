@@ -42,8 +42,6 @@ struct ClusterConfig {
   double client_egress = 12.5e6;
 
   ps::PubSubServer::Config pubsub;
-  core::LocalLoadAnalyzer::Config lla;  // advertised_capacity overwritten
-  core::Dispatcher::Config dispatcher;
   core::Cloud::Config cloud;
 
   /// WAN latency: synthetic King model by default; fixed for unit-style runs.
@@ -134,6 +132,9 @@ class Cluster {
     std::unique_ptr<core::Dispatcher> dispatcher;
   };
 
+  /// Builds and starts a server + LLA + dispatcher stack on node `id` (a
+  /// fresh spawn or a restart on a crashed node) and records it in stacks_.
+  void start_stack(ServerId id, Rng dispatcher_rng);
   /// Connects a server's LLA to the balancer (direct monitoring path).
   void wire_balancer(ServerStack& stack);
   /// Direct LB -> dispatcher plan transport (paper IV-A1).

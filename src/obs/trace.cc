@@ -8,13 +8,16 @@ namespace dynamoth::obs {
 TraceRecorder& TraceRecorder::instance() {
   // Per simulator thread, like EnvelopePool and ChannelTable: hot trace
   // points must stay unsynchronized, so each shard thread records into its
-  // own ring (DESIGN.md section 15). Leaked + registered for LeakSanitizer.
-  static thread_local TraceRecorder* recorder = [] {
-    auto* r = new TraceRecorder();
-    detail::retain_for_process_lifetime(r);
-    return r;
-  }();
-  return *recorder;
+  // own ring (DESIGN.md section 15). A recorder handed on from an exited
+  // thread is reset to a fresh one: disabled, empty, default capacity, no
+  // strings or tracks, ring memory released.
+  static thread_local const detail::ThreadLease<TraceRecorder> lease(
+      [] { return new TraceRecorder(); },
+      [](TraceRecorder& r) {
+        r = TraceRecorder();
+        return true;
+      });
+  return lease.get();
 }
 
 void TraceRecorder::set_enabled(bool enabled) {

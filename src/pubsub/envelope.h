@@ -26,7 +26,6 @@
 
 #include "common/channel_table.h"
 #include "common/owner.h"
-#include "common/thread_singleton.h"
 #include "common/types.h"
 
 namespace dynamoth::ps {
@@ -129,16 +128,17 @@ class BasicEnvelopeRef;
 /// simulation but never cross shard threads (DESIGN.md section 15).
 class EnvelopePool {
  public:
-  /// The calling thread's pool. Intentionally leaked: envelopes captured in
+  /// The calling thread's pool. Never deleted: envelopes captured in
   /// static-duration containers may release during teardown, after function-
-  /// local statics would have been destroyed (see thread_singleton.h for the
-  /// LeakSanitizer registry).
+  /// local statics would have been destroyed. An exited thread's pool passes
+  /// to a new thread, slabs and all, once none of its envelopes is live
+  /// (thread_singleton.h).
   static EnvelopePool& instance() {
-    static thread_local EnvelopePool* pool = [] {
-      auto* p = new EnvelopePool();
-      ::dynamoth::detail::retain_for_process_lifetime(p);
-      return p;
-    }();
+    // Constant-initialized, so the per-envelope path reads it without an
+    // initialization guard; the lease behind it is taken out of line, once
+    // per thread.
+    static thread_local EnvelopePool* pool = nullptr;
+    if (pool == nullptr) [[unlikely]] pool = &lease_for_this_thread();
     return *pool;
   }
 
@@ -169,6 +169,7 @@ class EnvelopePool {
   static constexpr std::size_t kBlockSize = 1024;  // slots per slab block
 
   EnvelopePool() = default;
+  static EnvelopePool& lease_for_this_thread();
 
   detail::EnvelopeSlot* acquire() {
     detail::EnvelopeSlot* s = free_head_;

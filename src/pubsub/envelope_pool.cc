@@ -1,6 +1,19 @@
 #include "pubsub/envelope.h"
 
+#include "common/thread_singleton.h"
+
 namespace dynamoth::ps {
+
+EnvelopePool& EnvelopePool::lease_for_this_thread() {
+  static thread_local const ::dynamoth::detail::ThreadLease<EnvelopePool> lease(
+      [] { return new EnvelopePool(); },
+      [](EnvelopePool& p) {
+        if (p.live_ != 0) return false;
+        p.reused_ = 0;
+        return true;
+      });
+  return lease.get();
+}
 
 detail::EnvelopeSlot* EnvelopePool::grow() {
   auto block = std::make_unique<detail::EnvelopeSlot[]>(kBlockSize);

@@ -66,7 +66,7 @@ void ReliableSubscriber::on_message(ChannelId cid, const ps::EnvelopePtr& env) {
     for (std::uint64_t seq = last + 1; seq < env->channel_seq; ++seq) missing.insert(seq);
     std::weak_ptr<bool> alive = alive_;
     const ClientId publisher = env->publisher;
-    sim_.schedule_after(config_.reorder_grace, [this, alive, cid, publisher] {
+    sim_.schedule_after(kReorderGrace, [this, alive, cid, publisher] {
       if (auto a = alive.lock(); a && *a) check_gap(cid, publisher);
     });
   }

@@ -27,10 +27,11 @@ namespace dynamoth::rel {
 
 class ReliableSubscriber {
  public:
+  /// How long a gap may stand before replay is requested (absorbs
+  /// reconfiguration-time reordering).
+  static constexpr SimTime kReorderGrace = millis(500);
+
   struct Config {
-    /// How long a gap may stand before replay is requested (absorbs
-    /// reconfiguration-time reordering).
-    SimTime reorder_grace = millis(500);
     /// Re-request cadence for gaps that stay open (lost requests/batches).
     /// A retry fires only when a check interval passes with NO progress —
     /// paced replay that is still streaming in is left alone.

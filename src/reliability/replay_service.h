@@ -24,9 +24,11 @@ namespace dynamoth::rel {
 
 class ReplayService {
  public:
+  /// Most messages replayed per request.
+  static constexpr std::size_t kMaxBatch = 256;
+
   struct Config {
     std::size_t history_per_channel = 4096;
-    std::size_t max_batch = 256;        // most messages replayed per request
     /// Replay is paced: recovered messages are sent in chunks of at most
     /// `chunk_bytes`, one chunk every `chunk_interval`, so the replay burst
     /// itself cannot overflow the recovering subscriber's output buffer.

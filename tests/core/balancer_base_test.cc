@@ -83,7 +83,7 @@ TEST(BalancerBase, LoadRatioSmoothsOverWindow) {
   const ServerId s = f.cluster->server_ids()[0];
   f.balancer->ingest_report(f.report(s, 0.0));
   f.balancer->ingest_report(f.report(s, 1.5));
-  // Window of 3 (default): mean of {0, 1} = 0.5.
+  // Window of kLoadRatioWindow = 3: mean of {0, 1} = 0.5.
   EXPECT_NEAR(f.balancer->load_ratio(s), 0.5, 1e-9);
   f.balancer->ingest_report(f.report(s, 1.5));
   f.balancer->ingest_report(f.report(s, 1.5));
@@ -105,6 +105,30 @@ TEST(BalancerBase, RepeatedOrOlderWindowIsIgnored) {
   EXPECT_NEAR(f.balancer->load_ratio(s), 0.5, 1e-9);
   f.balancer->ingest_report(first);
   EXPECT_NEAR(f.balancer->load_ratio(s), 0.5, 1e-9);
+}
+
+TEST(BalancerBase, ReportsOlderThanMaxAgeArePurged) {
+  Fixture f;
+  f.balancer->start();
+  const auto servers = f.cluster->server_ids();
+  const ServerId silent = servers[0];
+  const ServerId chatty = servers[1];
+  f.balancer->ingest_report(f.report(silent, 1.5));  // window ends at t = 0
+  ASSERT_NEAR(f.balancer->load_ratio(silent), 1.0, 1e-9);
+
+  // A report exactly kReportMaxAge old still counts...
+  f.cluster->sim().run_for(BalancerBase::kReportMaxAge + millis(10));
+  EXPECT_NEAR(f.balancer->load_ratio(silent), 1.0, 1e-9);
+
+  // ...and the next round drops it, while a fresh report survives.
+  LoadReport fresh = f.report(chatty, 0.75);
+  fresh.window_end = f.cluster->sim().now();
+  fresh.window_start = fresh.window_end - kSecond;
+  f.balancer->ingest_report(fresh);
+  f.cluster->sim().run_for(BalancerBase::kTickInterval);
+  EXPECT_EQ(f.balancer->load_ratio(silent), 0.0);
+  EXPECT_NEAR(f.balancer->load_ratio(chatty), 0.5, 1e-9);
+  EXPECT_EQ(f.balancer->max_load_ratio().first, chatty);
 }
 
 TEST(BalancerBase, ReportsForUnknownServersIgnored) {

@@ -81,9 +81,7 @@ TEST(Client, DedupSuppressesDuplicateIds) {
   // twice with one envelope: the old owner delivers locally, and its
   // dispatcher forwards the same envelope to the new owner.
   harness::Cluster cluster(fixture_config(2));
-  core::DynamothClient::Config cc;
-  cc.unsubscribe_grace = seconds(2);
-  auto& sub = cluster.add_client(cc);
+  auto& sub = cluster.add_client();
   const Channel c = "dedup";
   const ServerId home = cluster.base_ring()->lookup(c);
   const auto servers = cluster.server_ids();
@@ -226,9 +224,7 @@ TEST(Client, ResubscribesAfterServerDroppedConnection) {
 
 TEST(Client, UnsubscribeGraceKeepsOldSubscriptionBriefly) {
   harness::Cluster cluster(fixture_config(2));
-  core::DynamothClient::Config cc;
-  cc.unsubscribe_grace = seconds(2);
-  auto& sub = cluster.add_client(cc);
+  auto& sub = cluster.add_client();
   const Channel c = "graceful";
   const ServerId home = cluster.base_ring()->lookup(c);
   const auto servers = cluster.server_ids();

@@ -136,10 +136,7 @@ TEST(Dispatcher, SwitchSentOncePerPlanChange) {
 }
 
 TEST(Dispatcher, ForwardTimeoutExpiresState) {
-  harness::ClusterConfig config = config2();
-  config.dispatcher.forward_timeout = seconds(5);
-  config.dispatcher.cleanup_interval = seconds(1);
-  harness::Cluster cluster(config);
+  harness::Cluster cluster(config2());
   const auto servers = cluster.server_ids();
   const Channel c = "timed";
   const ServerId home = cluster.base_ring()->lookup(c);
@@ -150,7 +147,7 @@ TEST(Dispatcher, ForwardTimeoutExpiresState) {
   cluster.sim().run_for(seconds(1));
   cluster.install_plan(plan_with(c, {other}, ReplicationMode::kNone, 1));
   EXPECT_EQ(cluster.dispatcher(home).redirecting_channels(), 1u);
-  cluster.sim().run_for(seconds(10));
+  cluster.sim().run_for(Dispatcher::kForwardTimeout + 2 * Dispatcher::kCleanupInterval);
   EXPECT_EQ(cluster.dispatcher(home).redirecting_channels(), 0u);
   EXPECT_EQ(cluster.dispatcher(other).draining_channels(), 0u);
 }

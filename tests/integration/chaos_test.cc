@@ -8,6 +8,7 @@
 #include <memory>
 #include <string>
 
+#include "fault/failure_detector.h"
 #include "fault/schedule.h"
 #include "harness/cluster.h"
 #include "harness/channel_scenario.h"
@@ -66,7 +67,8 @@ TEST(Chaos, CrashLeavesEmergencyAuditTrail) {
   EXPECT_GE(r.first_fault, 0);
   ASSERT_GE(r.detection_latency, 0);
   // Detector timeout plus two balancer ticks bounds detection.
-  EXPECT_LE(r.detection_latency, harness::kDetectorTimeout + 2 * seconds(1));
+  EXPECT_LE(r.detection_latency,
+            fault::kDetectorTimeout + 2 * core::BalancerBase::kTickInterval);
 
   bool suspected = false;
   for (const auto& ev : r.liveness) {
@@ -156,7 +158,6 @@ TEST(Chaos, LlaSilenceFalsePositiveRejoins) {
   core::DynamothLoadBalancer::Config lb_config;
   lb_config.t_wait = seconds(600);  // no load-driven plans during the test
   lb_config.base.detect_failures = true;
-  lb_config.base.detector.timeout = seconds(3);
   lb_config.max_servers = 3;
   auto& lb = cluster.use_dynamoth(lb_config);
 

@@ -136,7 +136,6 @@ TEST(Failure, BalancerSurvivesServerChurn) {
   lb_config.t_wait = seconds(5);
   lb_config.max_servers = 3;
   lb_config.base.detect_failures = true;
-  lb_config.base.detector.timeout = seconds(4);
   auto& lb = cluster.use_dynamoth(lb_config);
 
   std::vector<std::unique_ptr<sim::PeriodicTask>> feeds;

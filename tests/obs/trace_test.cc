@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
+#include <thread>
 
 #include "obs/trace_export.h"
 
@@ -118,6 +120,46 @@ TEST_F(TraceTest, HotMacroCompiledOutByDefault) {
     DYN_TRACE_HOT(instant(1, 0, "hot", "event"));
     EXPECT_EQ(trace().recorded(), 1u);
   }
+}
+
+TEST(TraceRecorder, NewThreadStartsFromAFreshRecorder) {
+  // A thread's recorder is handed to a later thread when it exits; the later
+  // thread must see it exactly like a fresh recorder.
+  const TraceRecorder* first = nullptr;
+  std::thread([&] {
+    TraceRecorder& r = trace();
+    first = &r;
+    r.set_capacity(16);
+    r.set_enabled(true);
+    r.set_track_name(3, "server 3");
+    r.instant(seconds(1), 3, "thread-cat", "thread-name");
+  }).join();
+
+  const TraceRecorder* second = nullptr;
+  bool enabled = true;
+  std::size_t capacity = 0;
+  std::size_t size = 1;
+  std::uint64_t recorded = 1;
+  bool no_tracks = false;
+  TraceStrId first_id = kEmptyTraceStr;
+  std::thread([&] {
+    TraceRecorder& r = trace();
+    second = &r;
+    enabled = r.enabled();
+    capacity = r.capacity();
+    size = r.size();
+    recorded = r.recorded();
+    no_tracks = r.track_names().empty();
+    first_id = r.intern("fresh");  // the first string after ""
+  }).join();
+
+  EXPECT_EQ(second, first);  // handed on, not leaked
+  EXPECT_FALSE(enabled);
+  EXPECT_EQ(capacity, TraceRecorder::kDefaultCapacity);
+  EXPECT_EQ(size, 0u);
+  EXPECT_EQ(recorded, 0u);
+  EXPECT_TRUE(no_tracks);
+  EXPECT_EQ(first_id, 1u);
 }
 
 }  // namespace

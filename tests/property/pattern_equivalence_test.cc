@@ -170,7 +170,6 @@ TEST(PatternEquivalence, SurvivesCrashAndRestart) {
     core::DynamothLoadBalancer::Config lb;
     lb.t_wait = seconds(5);
     lb.base.detect_failures = true;
-    lb.base.detector.timeout = seconds(3);
     cluster.use_dynamoth(lb);
 
     const std::vector<Channel> channels = {"per:0", "per:1", "per:2", "per:3"};

@@ -3,7 +3,9 @@
 // slot reuse, field reset between occupants, and a warm-pool determinism
 // guard. The pool is process-global, so every expectation is a *delta*
 // against the pool's state at test entry.
+#include <functional>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -206,6 +208,71 @@ TEST(EnvelopePool, WarmPoolRunIsBitIdenticalToColdRun) {
   ASSERT_EQ(cold.size(), warm.size());
   EXPECT_EQ(cold, warm);
   EXPECT_EQ(cold.size(), 250u);
+}
+
+TEST(EnvelopePool, DrainedPoolPassesToNewThread) {
+  // A thread's pool is handed to a later thread when it exits with no live
+  // envelopes; the later thread sees no live envelopes and no reuse yet, and
+  // serves its first envelope from the inherited slab.
+  const EnvelopePool* first = nullptr;
+  std::size_t first_capacity = 0;
+  std::thread([&] {
+    first = &EnvelopePool::instance();
+    { MutEnvelopeRef a = make_envelope(); }
+    { MutEnvelopeRef b = make_envelope(); }  // reuses a's slot
+    first_capacity = EnvelopePool::instance().capacity();
+  }).join();
+
+  const EnvelopePool* second = nullptr;
+  std::size_t live = 1;
+  std::uint64_t reused = 1;
+  std::size_t capacity_after_make = 0;
+  std::thread([&] {
+    EnvelopePool& pool = EnvelopePool::instance();
+    second = &pool;
+    live = pool.live();
+    reused = pool.reused();
+    MutEnvelopeRef env = make_envelope();
+    capacity_after_make = pool.capacity();
+  }).join();
+
+  EXPECT_EQ(second, first);
+  EXPECT_EQ(live, 0u);
+  EXPECT_EQ(reused, 0u);
+  EXPECT_EQ(capacity_after_make, first_capacity);  // no new slab
+}
+
+TEST(EnvelopePool, PoolWithLiveEnvelopesStaysParked) {
+  // An envelope that outlives its thread's pool lease keeps that pool
+  // parked: a thread started meanwhile must get another pool. Thread-local
+  // objects die in reverse order of construction, so `holder` (built before
+  // the thread first touches its pool) releases its envelope only after the
+  // pool has been parked, and probes for a new thread's pool first.
+  struct Holder {
+    MutEnvelopeRef env;
+    std::function<void()> before_release;
+    ~Holder() {
+      if (before_release) before_release();
+    }
+  };
+  const EnvelopePool* parked = nullptr;
+  const EnvelopePool* other = nullptr;
+  std::size_t other_live = 1;
+  std::thread([&] {
+    thread_local Holder holder;
+    parked = &EnvelopePool::instance();
+    holder.env = make_envelope();
+    holder.before_release = [&] {
+      std::thread([&] {
+        other = &EnvelopePool::instance();
+        other_live = other->live();
+      }).join();
+    };
+  }).join();
+
+  ASSERT_NE(other, nullptr);
+  EXPECT_NE(other, parked);
+  EXPECT_EQ(other_live, 0u);
 }
 
 }  // namespace
