@@ -9,6 +9,7 @@
 
 #include "common/channel_table.h"
 #include "common/dedup_window.h"
+#include "common/hash.h"
 #include "harness/cluster.h"
 #include "common/rng.h"
 #include "core/consistent_hash.h"
@@ -140,7 +141,7 @@ BENCHMARK(BM_PlanCopy)->Arg(64)->Arg(512)->Arg(4096);
 
 // One client's duplicate filter fed a delivery stream in sim time, swept
 // every 5 s against the 60 s horizon as the client library does, so the
-// spilled-word table sits at its steady-state size.
+// table sits at its steady-state size.
 enum class DedupStream { kInOrder, kReordered, kPublishers512 };
 
 void BM_DedupInsert(benchmark::State& state, DedupStream stream) {
@@ -173,6 +174,46 @@ void BM_DedupInsert(benchmark::State& state, DedupStream stream) {
 BENCHMARK_CAPTURE(BM_DedupInsert, in_order, DedupStream::kInOrder);
 BENCHMARK_CAPTURE(BM_DedupInsert, reordered, DedupStream::kReordered);
 BENCHMARK_CAPTURE(BM_DedupInsert, publishers_512, DedupStream::kPublishers512);
+
+// 800 clients' duplicate filters at the game's 180 s horizon, each swept
+// every 5 s (staggered across clients) and each hearing about 9 publishers
+// at a time, drawn every 5 s from a rotating population of about 500 at
+// 3 updates/s. Deliveries are interleaved across clients, so unlike
+// BM_DedupInsert the filters do not stay cache-resident: the sweep cost and
+// the footprint both show.
+void BM_DedupFleet(benchmark::State& state) {
+  constexpr std::uint64_t kWindows = 800;
+  constexpr std::uint64_t kActive = 9;
+  constexpr std::uint64_t kPopulation = 500;
+  constexpr std::uint64_t kTicksPerSweep = 15;  // 5 s of 1/3 s ticks
+  constexpr SimTime kTick = millis(1000.0 / 3);
+  std::vector<DedupWindow> fleet(kWindows, DedupWindow(seconds(180)));
+  std::uint64_t tick = 0;
+  std::uint64_t i = 0;  // delivery within the tick
+  auto deliver = [&] {
+    const std::uint64_t w = i % kWindows;
+    const std::uint64_t epoch = tick / kTicksPerSweep;
+    // The population drifts by two publishers per epoch.
+    const std::uint64_t origin =
+        1 + 2 * epoch + hash_combine(hash_combine(w, i / kWindows), epoch) % kPopulation;
+    const SimTime now = static_cast<SimTime>(tick) * kTick;
+    const bool fresh = fleet[w].insert(MessageId{origin, tick + 1}, now);
+    if (++i == kWindows * kActive) {
+      i = 0;
+      ++tick;
+      for (std::uint64_t s = tick % kTicksPerSweep; s < kWindows; s += kTicksPerSweep) {
+        fleet[s].sweep(now + kTick);
+      }
+    }
+    return fresh;
+  };
+  while (tick < 200 * 3) deliver();  // warm past one horizon
+  for (auto _ : state) benchmark::DoNotOptimize(deliver());
+  std::size_t bytes = 0;
+  for (const DedupWindow& w : fleet) bytes += w.bytes();
+  state.counters["bytes_per_window"] = static_cast<double>(bytes) / kWindows;
+}
+BENCHMARK(BM_DedupFleet);
 
 void BM_HistogramRecord(benchmark::State& state) {
   metrics::Histogram histogram;

@@ -9,19 +9,26 @@
 // entry timeout) instead of a fixed count of recent ids:
 //
 //  - Ids are (origin, seq). Each origin's seqs are grouped into 64-seq words
-//    (one bit per seq). An open-addressing table keyed by origin holds each
-//    publisher's newest word inline, so an in-order delivery touches one
-//    slot. Older words spill to a second open-addressing table keyed by
-//    (origin, word); its slots are reused as words expire, so steady-state
-//    delivery never allocates.
-//  - Every word is stamped with the time of its latest arrival. sweep()
-//    drops words older than the horizon, then publishers with no words left;
-//    memory follows the traffic received within the horizon.
+//    (one bit per seq). One open-addressing table keyed by (origin, word)
+//    holds every remembered word in a 24-byte slot, so any arrival — in
+//    order, reordered or a late duplicate — touches one probe chain. A word
+//    that is absent is fresh, whether it is newer than the publisher's
+//    newest word or older than anything remembered.
+//  - Every word is stamped with its latest arrival, in milliseconds rounded
+//    up. sweep() touches no slot: it only records a cutoff (now minus the
+//    horizon), and a slot stamped before the cutoff counts as forgotten.
+//    insert() revives such a slot in place when its key matches and
+//    otherwise reuses the first one on its probe path. When occupied slots
+//    would pass 3/4 of the table, forgotten slots are purged in place; the
+//    table doubles only if the remembered words still fill more than 5/8 of
+//    it. So memory follows the traffic received within the horizon and
+//    steady-state delivery never allocates.
 //
 // Guarantees: a fresh id is never rejected; a duplicate arriving within the
 // horizon of its first copy is always rejected; an arrival older than
-// anything remembered is accepted. Origin ~0 is reserved (free-slot marker)
-// and seqs must stay below 2^38 (word indices are 32-bit).
+// anything remembered is accepted. Once nothing is remembered, sweep()
+// releases all storage. Origin ~0 is reserved (free-slot marker), seqs must
+// stay below 2^38 (word indices are 32-bit) and sim time below 2^32 ms.
 #pragma once
 
 #include <cstddef>
@@ -41,98 +48,91 @@ class DedupWindow {
   /// Records the arrival of `id` at `now`. Returns true when the id is new
   /// (never seen, or its word has aged out), false for a duplicate.
   bool insert(const MessageId& id, SimTime now) {
-    DYN_CHECK(id.origin != kEmpty && id.seq < kMaxSeq);
+    DYN_CHECK(id.origin != kEmpty && id.seq < kMaxSeq && now >= 0 && now < kMaxTime);
     const auto word = static_cast<std::uint32_t>(id.seq >> 6);
     const std::uint64_t bit = std::uint64_t{1} << (id.seq & 63);
-    Publisher* p = find_publisher(id.origin);
-    if (p == nullptr) {
-      add_publisher(Publisher{id.origin, bit, now, word, 0});
-      return true;
+    const std::uint32_t stamp = to_stamp(now);
+    if (now > newest_) newest_ = now;
+    if (!slots_.empty()) {
+      const std::size_t mask = slots_.size() - 1;
+      const std::uint32_t cutoff = cutoff_;  // a local: slot stores may alias the member
+      Slot* forgotten = nullptr;             // first stale slot on the probe path
+      std::size_t i = hash_combine(id.origin, word) & mask;
+      for (; slots_[i].origin != kEmpty; i = (i + 1) & mask) {
+        Slot& s = slots_[i];
+        const bool live = s.stamp >= cutoff;
+        if (s.origin == id.origin && s.word == word) {
+          const bool fresh = !live || (s.bits & bit) == 0;
+          s.bits = live ? s.bits | bit : bit;
+          s.stamp = stamp;
+          return fresh;
+        }
+        if (!live && forgotten == nullptr) forgotten = &s;
+      }
+      if (forgotten != nullptr) {
+        *forgotten = Slot{id.origin, bit, word, stamp};
+        return true;
+      }
+      if (4 * (used_ + 1) <= 3 * slots_.size()) {
+        slots_[i] = Slot{id.origin, bit, word, stamp};
+        ++used_;
+        return true;
+      }
     }
-    if (word == p->word) {
-      const bool fresh = (p->bits & bit) == 0;
-      p->bits |= bit;
-      p->stamp = now;
-      return fresh;
-    }
-    if (word > p->word) {
-      if (p->bits != 0) spill(*p);
-      p->word = word;
-      p->bits = bit;
-      p->stamp = now;
-      return true;
-    }
-    return insert_spilled(*p, word, bit, now);
+    add(Slot{id.origin, bit, word, stamp});
+    return true;
   }
 
-  /// Forgets words whose latest arrival is more than the horizon before
-  /// `now`, then publishers with no words left. Releases all storage once
-  /// nothing is remembered.
+  /// Forgets (lazily) words whose latest arrival is more than the horizon
+  /// before `now`. Releases all storage once nothing is remembered.
   void sweep(SimTime now);
 
   /// Forgets everything and releases storage.
   void clear();
 
-  /// Publishers with at least one remembered word.
-  [[nodiscard]] std::size_t publishers() const { return publisher_count_; }
-  /// Remembered words (inline and spilled).
+  /// Publishers with at least one remembered word (diagnostic, O(n log n)).
+  [[nodiscard]] std::size_t publishers() const;
+  /// Remembered words (diagnostic, O(n)).
   [[nodiscard]] std::size_t words() const;
   /// Bytes of table storage held (the per-client dedup footprint).
-  [[nodiscard]] std::size_t bytes() const {
-    return publishers_.capacity() * sizeof(Publisher) + spilled_.capacity() * sizeof(Word);
-  }
+  [[nodiscard]] std::size_t bytes() const { return slots_.capacity() * sizeof(Slot); }
 
  private:
   static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};  // free-slot origin
   static constexpr std::uint64_t kMaxSeq = std::uint64_t{1} << 38;
+  static constexpr SimTime kMaxTime = SimTime{0xFFFF'FFFF} * kMillisecond;
 
-  // 32-byte slots, aligned so that each sits in one cache line.
-  struct alignas(32) Publisher {
+  struct Slot {
     std::uint64_t origin = kEmpty;
-    std::uint64_t bits = 0;     // seqs seen in `word`; 0 once it expired
-    SimTime stamp = 0;          // latest arrival into `word`
-    std::uint32_t word = 0;     // newest word index (seq >> 6)
-    std::uint32_t spilled = 0;  // this publisher's words in spilled_
+    std::uint64_t bits = 0;   // seqs seen in `word`
+    std::uint32_t word = 0;   // seq >> 6
+    std::uint32_t stamp = 0;  // latest arrival into `word`, ms rounded up
   };
+  static_assert(sizeof(Slot) == 24);
 
-  struct alignas(32) Word {
-    std::uint64_t origin = kEmpty;
-    std::uint64_t bits = 0;
-    SimTime stamp = 0;
-    std::uint32_t word = 0;
-  };
-
-  static std::size_t home(const Publisher& p) { return mix64(p.origin); }
-  static std::size_t home(const Word& w) { return hash_combine(w.origin, w.word); }
-
-  Publisher* find_publisher(std::uint64_t origin) {
-    if (publishers_.empty()) return nullptr;
-    const std::size_t mask = publishers_.size() - 1;
-    for (std::size_t i = mix64(origin) & mask;; i = (i + 1) & mask) {
-      Publisher& p = publishers_[i];
-      if (p.origin == origin) return &p;
-      if (p.origin == kEmpty) return nullptr;
-    }
+  /// Rounds up, so a word is remembered at least one horizon, never less.
+  static std::uint32_t to_stamp(SimTime t) {
+    const auto us = static_cast<std::uint64_t>(t);  // unsigned: a cheaper division
+    return static_cast<std::uint32_t>((us + kMillisecond - 1) / kMillisecond);
+  }
+  static std::size_t home(const Slot& s) { return hash_combine(s.origin, s.word); }
+  [[nodiscard]] bool live(const Slot& s) const {
+    return s.origin != kEmpty && s.stamp >= cutoff_;
   }
 
-  // Linear-probing helpers shared by both tables (defined in the .cc).
-  template <class Entry>
-  static void place(std::vector<Entry>& table, const Entry& entry);
-  template <class Entry>
-  static void reserve_one(std::vector<Entry>& table, std::size_t count, std::size_t min_slots);
-  template <class Entry, class Stale>
-  static std::size_t erase_if(std::vector<Entry>& table, Stale stale);
-
-  void add_publisher(const Publisher& p);
-  /// Moves the publisher's inline word into spilled_.
-  void spill(Publisher& p);
-  bool insert_spilled(Publisher& p, std::uint32_t word, std::uint64_t bit, SimTime now);
+  /// Stores a slot whose key is absent when the fast path found no room:
+  /// allocates the first table, or purges stale slots and grows if needed.
+  void add(const Slot& slot);
+  /// Inserts a slot known to be absent into a table with a free slot.
+  void place(const Slot& slot);
+  /// Erases every stale slot in place; returns the number erased.
+  std::size_t purge();
 
   SimTime horizon_;
-  std::vector<Publisher> publishers_;  // power-of-two size, load <= 3/4
-  std::vector<Word> spilled_;          // power-of-two size, load <= 3/4
-  std::size_t publisher_count_ = 0;
-  std::size_t spilled_count_ = 0;
+  std::vector<Slot> slots_;    // power-of-two size, occupied <= 3/4
+  std::size_t used_ = 0;       // occupied slots, stale ones included
+  std::uint32_t cutoff_ = 0;   // stamps below this are forgotten
+  SimTime newest_ = 0;         // latest arrival since the last clear()
 };
 
 }  // namespace dynamoth

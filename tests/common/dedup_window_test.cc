@@ -92,6 +92,58 @@ TEST(DedupWindow, ClearReleasesStorage) {
   EXPECT_TRUE(w.insert(MessageId{5, 320}, 0));
 }
 
+TEST(DedupWindow, SlotStaleAtTheLastSweepIsForgottenInPlace) {
+  DedupWindow w(kHorizon);
+  w.insert(MessageId{1, 1}, 0);
+  w.insert(MessageId{2, 1}, seconds(50));  // keeps the window from emptying
+  const std::size_t bytes = w.bytes();
+  w.sweep(seconds(61));  // origin 1's word is stale but still in its slot
+  EXPECT_EQ(w.bytes(), bytes);
+  EXPECT_EQ(w.words(), 1u);
+  EXPECT_EQ(w.publishers(), 1u);
+  EXPECT_TRUE(w.insert(MessageId{1, 1}, seconds(61)));
+  EXPECT_FALSE(w.insert(MessageId{1, 1}, seconds(61)));
+}
+
+TEST(DedupWindow, WordRestampedAfterTheSweepSurvives) {
+  DedupWindow w(kHorizon);
+  w.insert(MessageId{1, 1}, 0);
+  w.insert(MessageId{2, 1}, seconds(50));
+  w.sweep(seconds(61));                                 // word 0 of origin 1 stale
+  EXPECT_TRUE(w.insert(MessageId{1, 2}, seconds(62)));  // revives it, stamped 62 s
+  w.sweep(seconds(100));                                // cutoff 40 s
+  EXPECT_EQ(w.words(), 2u);
+  EXPECT_FALSE(w.insert(MessageId{1, 2}, seconds(100)));
+  EXPECT_TRUE(w.insert(MessageId{1, 1}, seconds(100)));  // forgotten before the revival
+}
+
+TEST(DedupWindow, StaleSlotsAreReusedSoStorageStaysFlat) {
+  // 16 publishers each open a new word every second, so the live set is
+  // constant (about one horizon of words) while every word turns over.
+  DedupWindow w(kHorizon);
+  std::size_t settled_bytes = 0;
+  for (std::uint64_t s = 1; s <= 20 * 60; ++s) {
+    const SimTime now = seconds(static_cast<double>(s));
+    if (now % kSweep == 0) w.sweep(now);
+    for (std::uint64_t p = 1; p <= 16; ++p) EXPECT_TRUE(w.insert(MessageId{p, s * 64}, now));
+    if (s == 2 * 60) settled_bytes = w.bytes();
+  }
+  EXPECT_GT(settled_bytes, 0u);
+  EXPECT_EQ(w.bytes(), settled_bytes);
+  EXPECT_LE(w.words(), 16u * (60 + 5 + 1));
+}
+
+TEST(DedupWindow, DuplicateOneHorizonAfterTheLastArrivalIsRejected) {
+  // Stamps have millisecond resolution; an arrival between two milliseconds
+  // must still be remembered for the whole horizon.
+  DedupWindow w(kHorizon);
+  const SimTime arrival = millis(1.5);
+  w.insert(MessageId{1, 1}, arrival);
+  w.insert(MessageId{2, 1}, seconds(30));
+  w.sweep(arrival + kHorizon);
+  EXPECT_FALSE(w.insert(MessageId{1, 1}, arrival + kHorizon));
+}
+
 // ---- seeded property tests against the reference model ----
 
 struct Arrival {

@@ -7,7 +7,9 @@ Usage:
 
 For every benchmark present in both files the throughput (items_per_second
 when reported, otherwise 1/real_time) is compared. The script exits non-zero
-if any benchmark's throughput fell below baseline * (1 - max_regression).
+if any benchmark's throughput fell below baseline * (1 - max_regression), or
+if a baseline entry is missing from the fresh run: a benchmark that is
+renamed or deleted takes its baseline entry with it in the same change.
 
 The default threshold is deliberately loose (40%): shared CI runners are
 noisy and heterogeneous, so the gate is meant to catch structural
@@ -114,7 +116,8 @@ def main() -> int:
             status = f"ok (tolerance {allowed:.0%})"
         print(f"{name:<{width}}  baseline={base[name]:14.1f}  fresh={fresh[name]:14.1f}  "
               f"ratio={ratio:5.2f}x  {status}")
-    for name in sorted(set(base) - set(fresh)):
+    missing = sorted(set(base) - set(fresh))
+    for name in missing:
         print(f"{name:<{width}}  MISSING from fresh run")
 
     if failures:
@@ -123,6 +126,12 @@ def main() -> int:
         for name, ratio, allowed in failures:
             print(f"  {name}: {ratio:.2f}x of baseline (allowed {1.0 - allowed:.2f}x)",
                   file=sys.stderr)
+    if missing:
+        print(f"\n{len(missing)} baseline entr{'y' if len(missing) == 1 else 'ies'} missing "
+              f"from {args.fresh}; remove or rename them in {args.baseline}:", file=sys.stderr)
+        for name in missing:
+            print(f"  {name}", file=sys.stderr)
+    if failures or missing:
         return 1
     compared = len(set(fresh) & set(base))
     print(f"\nall {compared} compared benchmarks within tolerance "

@@ -6,7 +6,10 @@
 Each sample is a leaf-first list of addresses. Addresses are mapped to their
 ELF file through the /proc/self/maps copy at the end of the profile and
 resolved with `addr2line -f -i -C`, so inlined frames count as functions of
-their own. Return addresses are looked up one byte early, at the call.
+their own. Return addresses are looked up one byte early, at the call. A
+frame without line info (a stripped system library) is named
+`<lib> (no symbols)`, e.g. `libm.so.6 (no symbols)`: addr2line would name it
+after the nearest exported symbol, which there is usually unrelated code.
 
 Three tables, each as a share of all samples:
   self       the innermost function of the leaf frame;
@@ -83,10 +86,10 @@ def symbolize(by_module):
                 i += 1
                 continue
             if current is not None and i + 1 < len(out):
-                func, where = line, out[i + 1]
-                if func == "??":
-                    func = f"?? ({os.path.basename(path)})"
-                frames[current].append((func, where.split(":")[0]))
+                func, where = line, out[i + 1].split(":")[0]
+                if func == "??" or where == "??":
+                    func = f"{os.path.basename(path)} (no symbols)"
+                frames[current].append((func, where))
             i += 2
     return frames
 
@@ -124,8 +127,8 @@ def main():
         self_count[stack[0][0]] += 1
         for func in {f for f, _ in stack}:
             incl_count[func] += 1
-        own = next((where for _, where in stack if args.src in where), "(outside " + args.src + ")")
-        source_count[own[own.find(args.src):] if args.src in own else own] += 1
+        own = next((where for _, where in stack if args.src in where), None)
+        source_count[own[own.find(args.src):] if own else "(outside " + args.src + ")"] += 1
 
     total = len(samples)
     print(f"{total} samples")
